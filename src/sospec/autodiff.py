@@ -1,37 +1,36 @@
-"""Minimal reverse-mode differentiation over numpy arrays.
+"""Reverse-mode differentiation over numpy arrays, one entry per stage.
 
-A `Tape` records operations append-only as they execute (define-by-run);
+A `Tape` records entries append-only as they execute (define-by-run);
 `backward` replays them in strict reverse order, accumulating adjoints.
-Values are float64 numpy arrays (scalars are 0-d). The op set is exactly
-what the alignment -> torus features -> MLP -> resonance-penalty pipeline
-needs, plus fused kernels for the block-polar and character features whose
-inner loops live in `kernels`.
+Values are float64 numpy arrays (scalars are 0-d). An entry is a whole
+closed-form stage of the model: `record` runs a function that returns
+(value, vjp), where vjp maps the output's adjoint to one adjoint per input.
+`add` and `scale` combine the scalar terms of an objective.
 
+A value holds its tape only through a weak reference, so a finished tape
+and every array its stages keep are freed as soon as the caller drops it.
 Graphs are rebuilt per step; a tape is confined to one thread.
 """
 
-import numpy as np
+import weakref
 
-from . import kernels
+import numpy as np
 
 
 class Var:
     """A value recorded on a tape. `grad` is populated by Tape.backward."""
 
-    __slots__ = ("value", "grad", "tape", "_track")
+    __slots__ = ("value", "grad", "_tape", "_track")
 
-    def __init__(self, value, tape, track):
+    def __init__(self, value, tape_ref, track):
         self.value = value
         self.grad = None
-        self.tape = tape
+        self._tape = tape_ref
         self._track = track
 
     @property
     def shape(self):
         return self.value.shape
-
-    def item(self):
-        return float(self.value)
 
 
 def _as_value(x):
@@ -50,246 +49,58 @@ def _unbroadcast(grad, shape):
 
 class Tape:
     def __init__(self):
-        # entries: (outputs, tracked inputs, vjp). vjp maps output adjoints
-        # to input adjoints, aligned positionally; None marks an untracked slot.
+        # entries: (output, inputs, vjp). vjp maps the output adjoint to
+        # input adjoints, aligned positionally.
         self._entries = []
         self._params = []
+        self._ref = weakref.ref(self)
 
     # -- leaves ------------------------------------------------------------
 
     def param(self, value):
-        v = Var(_as_value(value), self, track=True)
+        v = Var(_as_value(value), self._ref, track=True)
         self._params.append(v)
         return v
 
     def constant(self, value):
-        return Var(_as_value(value), self, track=False)
+        return Var(_as_value(value), self._ref, track=False)
 
     def _lift(self, x):
         if isinstance(x, Var):
-            if x.tape is not self:
+            if x._tape is not self._ref:
                 raise ValueError("operand recorded on a different tape")
             return x
         return self.constant(x)
 
-    def _record(self, value, inputs, vjp):
-        out = Var(value, self, track=True)
-        self._entries.append(((out,), inputs, vjp))
+    def _push(self, value, inputs, vjp):
+        out = Var(value, self._ref, track=True)
+        self._entries.append((out, inputs, vjp))
         return out
 
-    def _record_multi(self, values, inputs, vjp):
-        outs = tuple(Var(v, self, track=True) for v in values)
-        self._entries.append((outs, inputs, vjp))
-        return outs
+    # -- entries -------------------------------------------------------------
 
-    # -- arithmetic ---------------------------------------------------------
+    def record(self, stage, inputs, *args):
+        """Run `stage(*input values, *args) -> (value, vjp)` as one entry.
+
+        `inputs` are Vars (or arrays, taken as constants); `args` are passed
+        through untouched and get no adjoint.
+        """
+        inputs = tuple(self._lift(x) for x in inputs)
+        value, vjp = stage(*(x.value for x in inputs), *args)
+        return self._push(_as_value(value), inputs, vjp)
 
     def add(self, a, b):
         a, b = self._lift(a), self._lift(b)
-        return self._record(
+        return self._push(
             a.value + b.value,
             (a, b),
             lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
         )
 
-    def sub(self, a, b):
-        a, b = self._lift(a), self._lift(b)
-        return self._record(
-            a.value - b.value,
-            (a, b),
-            lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
-        )
-
-    def neg(self, a):
-        a = self._lift(a)
-        return self._record(-a.value, (a,), lambda g: (-g,))
-
-    def mul(self, a, b):
-        a, b = self._lift(a), self._lift(b)
-        return self._record(
-            a.value * b.value,
-            (a, b),
-            lambda g: (
-                _unbroadcast(g * b.value, a.shape),
-                _unbroadcast(g * a.value, b.shape),
-            ),
-        )
-
-    def div(self, a, b):
-        a, b = self._lift(a), self._lift(b)
-        if np.any(b.value == 0.0):
-            raise ZeroDivisionError("division by zero on tape")
-        inv = 1.0 / b.value
-        return self._record(
-            a.value * inv,
-            (a, b),
-            lambda g: (
-                _unbroadcast(g * inv, a.shape),
-                _unbroadcast(-g * a.value * inv * inv, b.shape),
-            ),
-        )
-
     def scale(self, a, c):
         a = self._lift(a)
         c = float(c)
-        return self._record(a.value * c, (a,), lambda g: (g * c,))
-
-    # -- elementwise --------------------------------------------------------
-
-    def sin(self, a):
-        a = self._lift(a)
-        return self._record(np.sin(a.value), (a,), lambda g: (g * np.cos(a.value),))
-
-    def cos(self, a):
-        a = self._lift(a)
-        return self._record(np.cos(a.value), (a,), lambda g: (-g * np.sin(a.value),))
-
-    def sqrt(self, a):
-        a = self._lift(a)
-        if np.any(a.value < 0.0):
-            raise ValueError("sqrt of negative value on tape")
-        root = np.sqrt(a.value)
-        return self._record(root, (a,), lambda g: (g * 0.5 / root,))
-
-    def square(self, a):
-        a = self._lift(a)
-        return self._record(a.value * a.value, (a,), lambda g: (g * 2.0 * a.value,))
-
-    def atan2(self, y, x):
-        y, x = self._lift(y), self._lift(x)
-        if np.any((y.value == 0.0) & (x.value == 0.0)):
-            raise ValueError("atan2(0, 0) on tape")
-        denom = x.value * x.value + y.value * y.value
-        return self._record(
-            np.arctan2(y.value, x.value),
-            (y, x),
-            lambda g: (
-                _unbroadcast(g * x.value / denom, y.shape),
-                _unbroadcast(-g * y.value / denom, x.shape),
-            ),
-        )
-
-    def relu(self, a):
-        a = self._lift(a)
-        mask = a.value > 0.0
-        return self._record(np.where(mask, a.value, 0.0), (a,), lambda g: (g * mask,))
-
-    # -- reductions and shape ops --------------------------------------------
-
-    def sum(self, a):
-        a = self._lift(a)
-        return self._record(
-            np.asarray(np.sum(a.value)),
-            (a,),
-            lambda g: (np.broadcast_to(g, a.shape).copy(),),
-        )
-
-    def sum_axis(self, a, axis):
-        a = self._lift(a)
-        return self._record(
-            np.sum(a.value, axis=axis),
-            (a,),
-            lambda g: (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),),
-        )
-
-    def slice1d(self, a, start, stop):
-        a = self._lift(a)
-
-        def vjp(g):
-            da = np.zeros_like(a.value)
-            da[start:stop] = g
-            return (da,)
-
-        return self._record(a.value[start:stop].copy(), (a,), vjp)
-
-    def concat_cols(self, parts):
-        parts = [self._lift(p) for p in parts]
-        widths = [p.value.shape[1] for p in parts]
-        offsets = np.cumsum([0] + widths)
-
-        def vjp(g):
-            return tuple(g[:, offsets[i] : offsets[i + 1]] for i in range(len(parts)))
-
-        return self._record(np.concatenate([p.value for p in parts], axis=1), tuple(parts), vjp)
-
-    # -- linear algebra -------------------------------------------------------
-
-    def matmul(self, a, b):
-        a, b = self._lift(a), self._lift(b)
-        av, bv = a.value, b.value
-        if av.ndim == 2 and bv.ndim == 2:
-            vjp = lambda g: (g @ bv.T, av.T @ g)
-        elif av.ndim == 2 and bv.ndim == 1:
-            vjp = lambda g: (np.outer(g, bv), av.T @ g)
-        else:
-            raise ValueError(f"unsupported matmul dims {av.ndim}x{bv.ndim}")
-        return self._record(av @ bv, (a, b), vjp)
-
-    def skew_matrix(self, v, n):
-        """Embed n(n-1)/2 free parameters as an n x n skew-symmetric matrix
-        (same sign convention as lie.skew_from_params)."""
-        v = self._lift(v)
-        rows, cols = np.triu_indices(n, k=1)
-        if v.value.shape != (rows.size,):
-            raise ValueError(f"expected {rows.size} skew parameters, got {v.value.shape}")
-        mat = np.zeros((n, n))
-        mat[cols, rows] = v.value
-        mat[rows, cols] = -v.value
-        return self._record(mat, (v,), lambda g: (g[cols, rows] - g[rows, cols],))
-
-    # -- fused feature kernels -------------------------------------------------
-
-    def block_polar(self, z):
-        """Per-block polar coordinates of aligned inputs: (radii, angles).
-
-        Radii are floored at kernels.RADIUS_FLOOR so the angle gradient stays
-        finite; angles land in [0, 2*pi).
-        """
-        z = self._lift(z)
-        zv = np.ascontiguousarray(z.value)
-        radii, angles = kernels.block_polar_fwd(zv)
-
-        def vjp(grads):
-            d_radii, d_angles = grads
-            if d_radii is None:
-                d_radii = np.zeros_like(radii)
-            if d_angles is None:
-                d_angles = np.zeros_like(angles)
-            return (kernels.block_polar_bwd(zv, radii, d_radii, d_angles),)
-
-        return self._record_multi((radii, angles), (z,), vjp)
-
-    def torus_features(self, angles, freq):
-        """Cosine and sine of integer frequency combinations of torus angles."""
-        angles = self._lift(angles)
-        freq = np.ascontiguousarray(np.asarray(freq, dtype=np.float64))
-        av = np.ascontiguousarray(angles.value)
-        cos_f, sin_f = kernels.torus_fwd(av, freq)
-
-        def vjp(grads):
-            d_cos, d_sin = grads
-            if d_cos is None:
-                d_cos = np.zeros_like(cos_f)
-            if d_sin is None:
-                d_sin = np.zeros_like(sin_f)
-            return (kernels.torus_bwd(cos_f, sin_f, d_cos, d_sin, freq),)
-
-        return self._record_multi((cos_f, sin_f), (angles,), vjp)
-
-    # -- losses -----------------------------------------------------------------
-
-    def logistic_loss(self, logits, targets):
-        """Mean binary cross-entropy with logits (numerically stable)."""
-        logits = self._lift(logits)
-        t = _as_value(targets)
-        zv = logits.value
-        loss = np.mean(np.maximum(zv, 0.0) - zv * t + np.log1p(np.exp(-np.abs(zv))))
-        sig = 1.0 / (1.0 + np.exp(-zv))
-        scale = 1.0 / zv.size
-
-        return self._record(
-            np.asarray(loss), (logits,), lambda g: (g * (sig - t) * scale,)
-        )
+        return self._push(a.value * c, (a,), lambda g: (g * c,))
 
     # -- backward -----------------------------------------------------------------
 
@@ -297,38 +108,31 @@ class Tape:
         """Accumulate adjoints of `loss` back to every parameter.
 
         Returns {param Var: gradient array}. Adjoints are reset first, so
-        repeated calls are independent.
+        repeated calls are independent. Gradients are never updated in
+        place, so one array may serve as the adjoint of several values.
         """
         if not self._entries:
             raise RuntimeError("backward called before any forward op")
-        if not isinstance(loss, Var) or loss.tape is not self:
+        if not isinstance(loss, Var) or loss._tape is not self._ref:
             raise ValueError("loss is not a Var of this tape")
         if loss.value.ndim != 0:
             raise ValueError("loss must be scalar")
 
-        for outs, ins, _ in self._entries:
-            for o in outs:
-                o.grad = None
+        for out, ins, _ in self._entries:
+            out.grad = None
             for i in ins:
                 i.grad = None
         for p in self._params:
             p.grad = None
 
         loss.grad = np.ones((), dtype=np.float64)
-        for outs, ins, vjp in reversed(self._entries):
-            grads = tuple(o.grad for o in outs)
-            if all(g is None for g in grads):
+        for out, ins, vjp in reversed(self._entries):
+            if out.grad is None:
                 continue
-            if len(outs) == 1:
-                in_grads = vjp(grads[0])
-            else:
-                in_grads = vjp(grads)
-            for iv, ig in zip(ins, in_grads):
-                if ig is None or not iv._track:
+            for iv, ig in zip(ins, vjp(out.grad)):
+                if not iv._track:
                     continue
-                if iv.grad is None:
-                    iv.grad = np.zeros_like(iv.value)
-                iv.grad += ig
+                iv.grad = ig if iv.grad is None else iv.grad + ig
 
         for p in self._params:
             if p.grad is None:

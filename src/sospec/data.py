@@ -319,7 +319,9 @@ def save_dataset(ds, path):
 
 
 def load_dataset(path):
-    xs, ys = [], []
+    """Read a JSONL dataset; malformed lines and non-finite values raise
+    ValueError naming the file line."""
+    xs, ys, linenos = [], [], []
     meta = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -339,6 +341,12 @@ def load_dataset(path):
                     raise ValueError(f"{path}: line {lineno}: sample needs x and y")
                 xs.append(obj["x"])
                 ys.append(obj["y"])
+                linenos.append(lineno)
     if meta is None:
         raise ValueError(f"{path}: empty dataset file")
-    return Dataset(np.asarray(xs), np.asarray(ys), meta)
+    ds = Dataset(np.asarray(xs), np.asarray(ys), meta)
+    finite = np.isfinite(ds.x).all(axis=1) & np.isfinite(ds.y).all(axis=1)
+    if not finite.all():
+        lineno = linenos[int(np.argmin(finite))]
+        raise ValueError(f"{path}: line {lineno}: non-finite value in x or y")
+    return ds

@@ -3,7 +3,7 @@
 These are the inner loops that dominate a training run: planar block polar
 coordinates, torus character features, and the Adam update. Everything else
 in the package is plain numpy. `set_backend` switches the live dispatch
-(used by the benchmark and the backend-equivalence tests); the initial
+(used by the backend-equivalence tests); the initial
 choice comes from SOSPEC_BACKEND via `backend.DEFAULT_BACKEND`.
 """
 

@@ -8,6 +8,7 @@ canonical form, exponentiates them, keeps matrices on SO(n), and compares
 generators. Ambient dimension must be even; odd n is rejected everywhere.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -149,25 +150,34 @@ def matrix_exp(b, t=1.0):
     mat = _as_matrix(b) * float(t)
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix exponential of non-finite matrix")
+    return exp_steps(mat)[0]
+
+
+def exp_steps(mat):
+    """matrix_exp's arithmetic on `mat`, keeping its intermediates.
+
+    Returns (result, scale, scaled, terms, squares): the series runs on
+    scaled = mat * scale, terms[k] is its k-th Taylor term (terms[0] = I),
+    and squares[j] is the matrix squared at squaring step j. The model's
+    alignment stage replays these steps in reverse for its gradient.
+    """
     n = mat.shape[0]
-    squarings = exp_squarings(mat)
-    scaled = mat * (0.5**squarings)
-    result = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, EXP_TAYLOR_ORDER + 1):
-        term = (term @ scaled) * (1.0 / k)
-        result = result + term
-    for _ in range(squarings):
-        result = result @ result
-    return result
-
-
-def exp_squarings(mat):
-    """Squaring count matrix_exp would use; shared with the on-tape twin."""
     norm = float(np.linalg.norm(mat))
+    squarings = 0
     if norm > EXP_SCALE_LIMIT:
-        return int(math.ceil(math.log2(norm / EXP_SCALE_LIMIT)))
-    return 0
+        squarings = int(math.ceil(math.log2(norm / EXP_SCALE_LIMIT)))
+    scale = 0.5**squarings
+    scaled = mat * scale
+    result = np.eye(n)
+    terms = [result]
+    for k in range(1, EXP_TAYLOR_ORDER + 1):
+        terms.append((terms[-1] @ scaled) * (1.0 / k))
+        result = result + terms[-1]
+    squares = []
+    for _ in range(squarings):
+        squares.append(result)
+        result = result @ result
+    return result, scale, scaled, terms, squares
 
 
 def retract_orthogonal(raw):
@@ -237,6 +247,16 @@ def gauge_equivalent(cf, block_angles, perm):
     return CanonicalForm(q_new, rates_new)
 
 
+@functools.cache
+def skew_indices(n):
+    """(rows, cols) of the strict upper triangle, the order of the n(n-1)/2
+    free skew parameters. Cached, so the arrays are read-only."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def skew_from_params(params, n):
     """Dense skew matrix from n(n-1)/2 free entries.
 
@@ -245,7 +265,7 @@ def skew_from_params(params, n):
     counterclockwise.
     """
     params = np.asarray(params, dtype=np.float64)
-    rows, cols = np.triu_indices(n, k=1)
+    rows, cols = skew_indices(n)
     if params.shape != (rows.size,):
         raise ValueError(f"expected {rows.size} skew parameters, got {params.shape}")
     mat = np.zeros((n, n))

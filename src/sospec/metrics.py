@@ -32,12 +32,6 @@ def accuracy(params, x, y):
     return float(np.mean((logits > 0.0).astype(np.float64) == y))
 
 
-def logistic_loss(params, x, y):
-    z = model.predict(params, np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64)
-    return float(np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))))
-
-
 def invariance_error(predictor, xs, true_generator, t_samples):
     """Monte-Carlo estimate of E_{x,t} |f(x) - f(exp(t B) x)|^2.
 

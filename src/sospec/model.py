@@ -7,15 +7,19 @@ cosine/sine pairs of primitive frequency combinations of the angles plus
 the radii. Rotation rates enter only through the resonance penalty, which
 suppresses first-layer mass on features whose frequency is not orthogonal
 to the rates.
+
+The pipeline is a fixed chain of closed-form stages: align, features, one
+dense stage per layer, the loss and the penalty. Each is a plain function
+returning (value, vjp). `build_objective` records each stage as one tape
+entry; `predict` calls the same functions and drops the vjp.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lie
-from .autodiff import Tape
+from . import kernels, lie
 from .lattice import FrequencyVector, primitive_set
 
 
@@ -41,6 +45,7 @@ class GeneratorParams:
     # classes; the canonical det=+1 form is recovered by flipping the sign
     # of the last rotation rate.
     reflected: bool = False
+    _freq_matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n % 2 != 0:
@@ -79,9 +84,13 @@ class GeneratorParams:
         return self.layers[-1][0].shape[1]
 
     def freq_matrix(self):
-        return np.ascontiguousarray(
-            np.stack([f.as_array() for f in self.freqs]), dtype=np.float64
-        )
+        """The frequencies as rows of a float64 matrix, built on first use;
+        `freqs` must not change after that (copy() starts afresh)."""
+        if self._freq_matrix is None:
+            self._freq_matrix = np.ascontiguousarray(
+                np.stack([f.as_array() for f in self.freqs]), dtype=np.float64
+            )
+        return self._freq_matrix
 
     def copy(self):
         return GeneratorParams(
@@ -180,77 +189,159 @@ def init_params(
     )
 
 
-def exp_skew(tape, mat_var):
-    """On-tape matrix exponential; same scaling/series/squaring arithmetic
-    as lie.matrix_exp so the primal matches it bit for bit."""
-    squarings = lie.exp_squarings(mat_var.value)
-    scaled = tape.scale(mat_var, 0.5**squarings)
-    n = mat_var.value.shape[0]
-    result = tape.constant(np.eye(n))
-    term = tape.constant(np.eye(n))
-    for k in range(1, lie.EXP_TAYLOR_ORDER + 1):
-        term = tape.scale(tape.matmul(term, scaled), 1.0 / k)
-        result = tape.add(result, term)
-    for _ in range(squarings):
-        result = tape.matmul(result, result)
-    return result
+# -- pipeline stages ------------------------------------------------------------
+#
+# Each stage takes its input arrays first, then static arguments, and returns
+# (value, vjp); vjp maps the value's adjoint to one adjoint per input array.
+# The order of every product and sum is part of the contract (for example
+# csq * (dots * dots), not csq * dots * dots): reordering moves results by an
+# ulp, which changes training trajectories and so the recovered generators.
 
 
-def build_forward(tape, params, x):
-    """Record the full forward pass for a batch; returns (prediction Var,
-    dict of leaf Vars keyed by parameter name)."""
-    x = np.asarray(x, dtype=np.float64)
-    leaves = {}
-    skew_v = leaves["skew"] = tape.param(params.skew)
-    leaves["rates"] = tape.param(params.rates)
-    layer_vars = []
+def align_stage(skew, x, reflected):
+    """Rows of x in the learned frame: x @ exp(A), with the last coordinate
+    negated for a reflected frame. Input: the skew parameters of A.
+
+    The exponential is lie.exp_steps, so the value matches lie.matrix_exp
+    bit for bit; the VJP replays its squaring and Taylor steps in reverse.
+    """
+    n = x.shape[1]
+    rows, cols = lie.skew_indices(n)
+    q, scale, scaled, terms, squares = lie.exp_steps(lie.skew_from_params(skew, n))
+    z = x @ q
+    if reflected:
+        z[:, -1] = -z[:, -1]
+
+    def vjp(g):
+        if reflected:
+            g = g.copy()
+            g[:, -1] = -g[:, -1]
+        d_result = x.T @ g
+        for sq in reversed(squares):
+            d_result = d_result @ sq.T + sq.T @ d_result
+        # result = I + sum_k term_k with term_k = term_{k-1} @ scaled / k
+        d_term = d_result
+        d_scaled = 0.0
+        for k in range(lie.EXP_TAYLOR_ORDER, 0, -1):
+            d_prod = d_term * (1.0 / k)
+            d_scaled = d_scaled + terms[k - 1].T @ d_prod
+            if k > 1:
+                d_term = d_prod @ scaled.T + d_result
+        d_mat = d_scaled * scale
+        return (d_mat[cols, rows] - d_mat[rows, cols],)
+
+    return z, vjp
+
+
+def features_stage(z, freq):
+    """Network input from aligned rows: [cos | sin | radii], one cos/sin
+    pair per frequency (row of `freq`) of the block-polar torus angles."""
+    z = np.ascontiguousarray(z)
+    radii, angles = kernels.block_polar_fwd(z)
+    cos_f, sin_f = kernels.torus_fwd(angles, freq)
+    f = freq.shape[0]
+
+    def vjp(g):
+        d_angles = kernels.torus_bwd(cos_f, sin_f, g[:, :f], g[:, f : 2 * f], freq)
+        return (kernels.block_polar_bwd(z, radii, g[:, 2 * f :], d_angles),)
+
+    return np.concatenate([cos_f, sin_f, radii], axis=1), vjp
+
+
+def dense_stage(h, w, b, relu):
+    """One layer, h @ w + b, through a ReLU unless it is the output layer."""
+    out = h @ w
+    out += b
+    if relu:
+        np.maximum(out, 0.0, out=out)
+
+    def vjp(g):
+        if relu:
+            g = g * (out > 0.0)
+        return g @ w.T, h.T @ g, g.sum(axis=0)
+
+    return out, vjp
+
+
+def loss_stage(pred, y, kind):
+    """Mean squared error, or for kind "logistic" the mean binary
+    cross-entropy of logits `pred` against 0/1 targets."""
+    if kind == "squared-error":
+        diff = pred - y
+        scale = 1.0 / y.size
+        value = np.sum(diff * diff) * scale
+        return value, lambda g: (g * scale * 2.0 * diff,)
+    if kind == "logistic":
+        value = np.mean(np.maximum(pred, 0.0) - pred * y + np.log1p(np.exp(-np.abs(pred))))
+        sig = 1.0 / (1.0 + np.exp(-pred))
+        scale = 1.0 / pred.size
+        return value, lambda g: (g * (sig - y) * scale,)
+    raise ValueError(f"unknown loss kind {kind!r}")
+
+
+def penalty_stage(w0, rates, freq):
+    """Resonance penalty: sum over frequencies of the squared first-layer
+    mass on its cos/sin pair times the squared inner product with the rates.
+    Inputs: the first-layer weight and the rates."""
+    f = freq.shape[0]
+    sq = np.sum(w0 * w0, axis=1)
+    csq = sq[:f] + sq[f : 2 * f]
+    dots = freq @ rates
+    dots_sq = dots * dots
+
+    def vjp(g):
+        d_sq = np.zeros_like(sq)
+        d_sq[:f] = d_sq[f : 2 * f] = g * dots_sq
+        return (d_sq * 2.0)[:, None] * w0, freq.T @ (g * csq * 2.0 * dots)
+
+    return np.sum(csq * dots_sq), vjp
+
+
+# -- objective and prediction ----------------------------------------------------
+
+
+def leaf_arrays(params):
+    """The learned arrays by leaf name, in the order that build_objective's
+    leaves and pack's flat buffer share."""
+    arrays = {"skew": params.skew, "rates": params.rates}
     for i, (w, b) in enumerate(params.layers):
-        wv = leaves[f"w{i}"] = tape.param(w)
-        bv = leaves[f"b{i}"] = tape.param(b)
-        layer_vars.append((wv, bv))
-
-    alignment = exp_skew(tape, tape.skew_matrix(skew_v, params.n))
-    aligned = tape.matmul(tape.constant(x), alignment)  # rows are Q^T x
-    if params.reflected:
-        flip = np.ones(params.n)
-        flip[-1] = -1.0
-        aligned = tape.mul(aligned, tape.constant(flip))
-    radii, angles = tape.block_polar(aligned)
-    cos_f, sin_f = tape.torus_features(angles, params.freq_matrix())
-    h = tape.concat_cols([cos_f, sin_f, radii])
-    last = len(layer_vars) - 1
-    for i, (wv, bv) in enumerate(layer_vars):
-        h = tape.add(tape.matmul(h, wv), bv)
-        if i != last:
-            h = tape.relu(h)
-    return h, leaves
+        arrays[f"w{i}"] = w
+        arrays[f"b{i}"] = b
+    return arrays
 
 
-def build_penalty(tape, params, leaves):
-    """Resonance penalty on tape: sum over frequencies of squared first-layer
-    mass times the squared inner product with the rates."""
-    f = params.num_freqs
-    sq = tape.sum_axis(tape.square(leaves["w0"]), 1)
-    csq = tape.add(tape.slice1d(sq, 0, f), tape.slice1d(sq, f, 2 * f))
-    dots = tape.matmul(tape.constant(params.freq_matrix()), leaves["rates"])
-    return tape.sum(tape.mul(csq, tape.square(dots)))
+def pack(params):
+    """Move every learned array into one flat float64 buffer, in leaf order,
+    and rebind the params' arrays as views of it; returns the buffer."""
+    arrays = list(leaf_arrays(params).values())
+    flat = np.concatenate([a.ravel() for a in arrays])
+    views, offset = [], 0
+    for a in arrays:
+        views.append(flat[offset : offset + a.size].reshape(a.shape))
+        offset += a.size
+    params.skew, params.rates = views[0], views[1]
+    params.layers = list(zip(views[2::2], views[3::2]))
+    return flat
 
 
 def build_objective(tape, params, x, y, mu, loss_kind=None):
-    """Prediction loss plus mu times the resonance penalty.
+    """Prediction loss plus mu times the resonance penalty, one tape entry
+    per stage.
 
-    Returns (objective, prediction loss, penalty, leaves)."""
+    Returns (objective, prediction loss, penalty, leaves), where leaves maps
+    each leaf name of leaf_arrays to its parameter Var."""
     loss_kind = loss_kind or params.loss_kind
+    x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    pred, leaves = build_forward(tape, params, x)
-    if loss_kind == "squared-error":
-        diff = tape.sub(pred, tape.constant(y))
-        pred_loss = tape.scale(tape.sum(tape.square(diff)), 1.0 / y.size)
-    elif loss_kind == "logistic":
-        pred_loss = tape.logistic_loss(pred, y)
-    else:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
-    penalty = build_penalty(tape, params, leaves)
+    freq = params.freq_matrix()
+    leaves = {name: tape.param(a) for name, a in leaf_arrays(params).items()}
+    h = tape.record(align_stage, (leaves["skew"],), x, params.reflected)
+    h = tape.record(features_stage, (h,), freq)
+    last = len(params.layers) - 1
+    for i in range(len(params.layers)):
+        h = tape.record(dense_stage, (h, leaves[f"w{i}"], leaves[f"b{i}"]), i != last)
+    pred_loss = tape.record(loss_stage, (h,), y, loss_kind)
+    penalty = tape.record(penalty_stage, (leaves["w0"], leaves["rates"]), freq)
     objective = tape.add(pred_loss, tape.scale(penalty, mu))
     return objective, pred_loss, penalty, leaves
 
@@ -261,8 +352,12 @@ def predict(params, x):
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    pred, _ = build_forward(Tape(), params, x)
-    return pred.value[0] if single else pred.value
+    h, _ = align_stage(params.skew, x, params.reflected)
+    h, _ = features_stage(h, params.freq_matrix())
+    last = len(params.layers) - 1
+    for i, (w, b) in enumerate(params.layers):
+        h, _ = dense_stage(h, w, b, i != last)
+    return h[0] if single else h
 
 
 def alignment_matrix(params):
@@ -286,8 +381,6 @@ def align(params, x):
 
 def featurize(params, x):
     """FeatureBundle for one input vector."""
-    from . import kernels
-
     z = align(params, x)[None, :]
     radii, angles = kernels.block_polar_fwd(np.ascontiguousarray(z))
     cos_f, sin_f = kernels.torus_fwd(angles, params.freq_matrix())
@@ -308,13 +401,8 @@ def coefficient_norms(params):
 
 
 def resonance_penalty(params):
-    """Plain-numpy value of the penalty; mirrors build_penalty exactly."""
-    w1 = params.layers[0][0]
-    f = params.num_freqs
-    sq = np.sum(w1 * w1, axis=1)
-    csq = sq[:f] + sq[f : 2 * f]
-    dots = params.freq_matrix() @ params.rates
-    return float(np.sum(csq * (dots * dots)))
+    """Plain value of the penalty term of build_objective."""
+    return float(penalty_stage(params.layers[0][0], params.rates, params.freq_matrix())[0])
 
 
 def save_checkpoint(params, path, config=None):

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import kernels, metrics, model
+from .autodiff import Tape
 from .lattice import estimate_lambda, surviving_frequencies
 from .lie import CanonicalForm, assemble_generator, generator_cosine_similarity
 
@@ -152,33 +153,30 @@ def mu_schedule(epoch, cfg):
 
 
 class Adam:
-    """Adam with bias correction; the fused update runs in the active kernel
-    backend. Parameter arrays are updated in place."""
+    """Adam with bias correction over one flat parameter vector, updated in
+    place by a single fused kernel call per step."""
 
-    def __init__(self, arrays, lr):
-        self.arrays = arrays
+    def __init__(self, flat, lr):
+        self.flat = flat
         self.lr = lr
-        self.m = [np.zeros(a.size) for a in arrays]
-        self.v = [np.zeros(a.size) for a in arrays]
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
         self.t = 0
 
-    def step(self, grads):
+    def step(self, grad):
         self.t += 1
-        bc1 = 1.0 - ADAM_BETA1**self.t
-        bc2 = 1.0 - ADAM_BETA2**self.t
-        for a, g, m, v in zip(self.arrays, grads, self.m, self.v):
-            kernels.adam_step(
-                a.reshape(-1),
-                np.ascontiguousarray(g.reshape(-1)),
-                m,
-                v,
-                self.lr,
-                ADAM_BETA1,
-                ADAM_BETA2,
-                ADAM_EPS,
-                bc1,
-                bc2,
-            )
+        kernels.adam_step(
+            self.flat,
+            grad,
+            self.m,
+            self.v,
+            self.lr,
+            ADAM_BETA1,
+            ADAM_BETA2,
+            ADAM_EPS,
+            1.0 - ADAM_BETA1**self.t,
+            1.0 - ADAM_BETA2**self.t,
+        )
 
 
 def split_indices(n, seed):
@@ -241,11 +239,7 @@ def discover(params, rel_threshold=0.1):
 
 
 def _forward_loss(params, x, y, loss_kind):
-    from .autodiff import Tape
-
-    tape = Tape()
-    _, pred_loss, _, _ = model.build_objective(tape, params, x, y, mu=0.0, loss_kind=loss_kind)
-    return float(pred_loss.value)
+    return float(model.loss_stage(model.predict(params, x), y, loss_kind)[0])
 
 
 def evaluate_params(params, ds, cfg, loss_kind=None):
@@ -318,6 +312,16 @@ def _rate_candidate(r, restart):
     return None
 
 
+def _flat_gradient(leaves, freeze_rates):
+    """The leaves' gradients as one vector in model.pack order, with the
+    rates' slice zeroed while the rates are frozen."""
+    grad = np.concatenate([v.grad.ravel() for v in leaves.values()])
+    if freeze_rates:
+        start = leaves["skew"].value.size
+        grad[start : start + leaves["rates"].value.size] = 0.0
+    return grad
+
+
 def _train_single(dataset, cfg, loss_kind, restart):
     """One full optimization from a fresh init.
 
@@ -330,8 +334,6 @@ def _train_single(dataset, cfg, loss_kind, restart):
     validation selection arbitrates between restarts. Raises
     _RestartFailure on a non-finite objective.
     """
-    from .autodiff import Tape
-
     rng_init = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SALT_INIT, restart]))
     rng_batch = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SALT_BATCH, restart]))
     params = model.init_params(
@@ -347,13 +349,7 @@ def _train_single(dataset, cfg, loss_kind, restart):
     train_idx, val_idx, _ = split_indices(len(dataset), cfg.seed)
     x_val, y_val = dataset.x[val_idx], dataset.y[val_idx]
 
-    leaf_names = ["skew", "rates"] + [
-        f"{kind}{i}" for i in range(len(params.layers)) for kind in ("w", "b")
-    ]
-    arrays = [params.skew, params.rates]
-    for w, b in params.layers:
-        arrays.extend([w, b])
-    adam = Adam(arrays, cfg.lr)
+    adam = Adam(model.pack(params), cfg.lr)
 
     curves = {"loss": [], "penalty": [], "val": [], "mu": []}
     best_val = math.inf
@@ -377,10 +373,7 @@ def _train_single(dataset, cfg, loss_kind, restart):
                     f"(loss={float(pred_loss.value)!r})"
                 )
             tape.backward(objective)
-            grads = [leaves[name].grad for name in leaf_names]
-            if epoch < cfg.warmup_epochs:
-                grads[1] = np.zeros_like(grads[1])  # rates frozen in warm-up
-            adam.step(grads)
+            adam.step(_flat_gradient(leaves, freeze_rates=epoch < cfg.warmup_epochs))
             params.rates /= np.linalg.norm(params.rates)
             epoch_losses.append(float(pred_loss.value))
             epoch_penalties.append(float(penalty.value))

@@ -1,188 +1,194 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+import sospec.model as model
 from oracles import gradcheck
 from sospec.autodiff import Tape
 
 
+def _square_stage(a):
+    return a * a, lambda g: (g * 2.0 * a,)
+
+
+def _sum_stage(a):
+    return np.sum(a), lambda g: (np.broadcast_to(g, a.shape).copy(),)
+
+
+def _matmul_stage(a, b):
+    return a @ b, lambda g: (g @ b.T, a.T @ g)
+
+
+def _weighted_sum(t, v, weights):
+    """Scalar <weights, v> on the tape, so a stage's whole output is checked."""
+    return t.record(lambda a: (np.sum(a * weights), lambda g: (g * weights,)), (v,))
+
+
 class TestForwardValues:
-    def test_mul(self):
-        t = Tape()
-        out = t.mul(t.param(2.0), t.param(3.0))
-        assert out.value == 6.0
-
-    def test_atan2(self):
-        t = Tape()
-        out = t.atan2(t.param(1.0), t.param(0.0))
-        assert float(out.value) == pytest.approx(np.pi / 2, abs=1e-15)
-
-    def test_sqrt(self):
-        t = Tape()
-        assert float(t.sqrt(t.param(4.0)).value) == 2.0
-
     def test_matmul_matches_numpy(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(4, 2))
         t = Tape()
-        out = t.matmul(t.param(a), t.param(b))
+        out = t.record(_matmul_stage, (t.param(a), t.param(b)))
         assert np.array_equal(out.value, a @ b)
+        assert len(t._entries) == 1  # one entry per stage
+
+    def test_static_args_pass_through(self):
+        t = Tape()
+        x = t.param(np.array([1.0, -2.0]))
+        out = t.record(lambda a, c: (a * c, lambda g: (g * c,)), (x,), 3.0)
+        t.backward(t.record(_sum_stage, (out,)))
+        assert np.array_equal(out.value, [3.0, -6.0])
+        assert np.array_equal(x.grad, [3.0, 3.0])
 
 
 class TestSimpleGradients:
     def test_square_gradient(self):
         t = Tape()
         x = t.param(3.0)
-        t.backward(t.square(x))
+        t.backward(t.record(_square_stage, (x,)))
         assert float(x.grad) == pytest.approx(6.0, abs=1e-12)
-
-    def test_sin_gradient_at_zero(self):
-        t = Tape()
-        x = t.param(0.0)
-        t.backward(t.sin(x))
-        assert float(x.grad) == pytest.approx(1.0, abs=1e-15)
 
     def test_fanout_accumulates(self):
         t = Tape()
         x = t.param(2.0)
-        y = t.add(t.square(x), t.scale(x, 3.0))  # x^2 + 3x -> 2x + 3 = 7
+        y = t.add(t.record(_square_stage, (x,)), t.scale(x, 3.0))  # x^2 + 3x -> 2x + 3 = 7
         t.backward(y)
         assert float(x.grad) == pytest.approx(7.0, abs=1e-12)
 
+    def test_shared_adjoint_is_not_updated_in_place(self):
+        # add hands the same adjoint array to both operands; accumulating a
+        # second contribution into one of them must not change the other
+        t = Tape()
+        a = t.param(np.ones(2))
+        b = t.param(np.ones(2))
+        s = t.add(a, b)
+        loss = t.add(t.record(_sum_stage, (s,)), t.record(_sum_stage, (t.scale(a, 5.0),)))
+        t.backward(loss)
+        assert np.array_equal(a.grad, [6.0, 6.0])
+        assert np.array_equal(b.grad, [1.0, 1.0])
+
+    def test_unused_param_gets_zero_gradient(self):
+        t = Tape()
+        x = t.param(2.0)
+        unused = t.param(np.ones(3))
+        t.backward(t.record(_square_stage, (x,)))
+        assert np.array_equal(unused.grad, np.zeros(3))
+
 
 class TestGradchecks:
-    """Isolated primitives against central finite differences (<= 1e-6)."""
-
-    def _check(self, build, shapes, seed, tol=1e-6):
-        rng = np.random.default_rng(seed)
-        params = [rng.normal(size=s) for s in shapes]
-        assert gradcheck(build, params) <= tol
+    """Tape entries against central finite differences (<= 1e-6): the
+    tape's own add and scale, and each pipeline stage of the model."""
 
     def test_arithmetic_chain(self):
         def build(t, ps):
             a, b = ps
-            return t.sum(t.mul(t.sub(a, b), t.add(a, t.scale(b, 0.5))))
+            prod = t.record(_matmul_stage, (a, b))
+            squares = t.record(_sum_stage, (t.record(_square_stage, (prod,)),))
+            return t.add(squares, t.scale(t.record(_sum_stage, (t.add(prod, 1.5),)), 0.5))
 
-        self._check(build, [(4, 3), (4, 3)], 1)
+        rng = np.random.default_rng(1)
+        assert gradcheck(build, [rng.normal(size=(3, 4)), rng.normal(size=(4, 3))]) <= 1e-6
 
-    def test_div(self):
+    def test_bias_broadcast(self):
         def build(t, ps):
-            a, b = ps
-            return t.sum(t.div(a, b))
+            x, b = ps
+            return t.record(_sum_stage, (t.record(_square_stage, (t.add(x, b),)),))
 
-        rng = np.random.default_rng(2)
-        params = [rng.normal(size=(3, 3)), rng.uniform(0.5, 2.0, size=(3, 3))]
-        assert gradcheck(build, params) <= 1e-6
-
-    def test_trig_sqrt_square(self):
-        def build(t, ps):
-            (a,) = ps
-            return t.sum(t.add(t.sin(a), t.mul(t.cos(a), t.sqrt(t.square(a)))))
-
-        rng = np.random.default_rng(3)
-        params = [rng.uniform(0.5, 2.0, size=(5,))]
-        assert gradcheck(build, params) <= 1e-6
-
-    def test_atan2(self):
-        def build(t, ps):
-            y, x = ps
-            return t.sum(t.atan2(y, x))
-
-        rng = np.random.default_rng(4)
-        params = [rng.uniform(0.5, 1.5, size=(6,)), rng.uniform(0.5, 1.5, size=(6,))]
-        assert gradcheck(build, params) <= 1e-6
-
-    def test_relu_away_from_kink(self):
-        def build(t, ps):
-            (a,) = ps
-            return t.sum(t.relu(a))
-
-        params = [np.array([-1.3, -0.4, 0.6, 2.0])]
-        assert gradcheck(build, params) <= 1e-6
-
-    def test_matmul_both_orders(self):
-        def build(t, ps):
-            a, b, v = ps
-            prod = t.matmul(a, b)
-            vec = t.matmul(prod, v)
-            return t.sum(t.square(vec))
-
-        self._check(build, [(3, 4), (4, 3), (3,)], 5)
-
-    def test_reductions_and_slices(self):
-        def build(t, ps):
-            a, b = ps
-            rows = t.sum_axis(t.square(a), 1)
-            head = t.slice1d(rows, 0, 2)
-            cat = t.concat_cols([a, b])
-            return t.add(t.sum(head), t.sum(t.square(cat)))
-
-        self._check(build, [(4, 3), (4, 2)], 6)
+        rng = np.random.default_rng(11)
+        assert gradcheck(build, [rng.normal(size=(5, 3)), rng.normal(size=(3,))]) <= 1e-6
 
     def test_skew_matrix(self):
-        def build(t, ps):
-            (v,) = ps
-            mat = t.skew_matrix(v, 4)
-            return t.sum(t.square(t.matmul(mat, mat)))
+        # align stage on a small skew (no squaring steps), both parities
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(5, 4))
+        weights = rng.normal(size=(5, 4))
+        for reflected in (False, True):
 
-        self._check(build, [(6,)], 7)
+            def build(t, ps):
+                return _weighted_sum(t, t.record(model.align_stage, ps, x, reflected), weights)
+
+            assert gradcheck(build, [0.05 * rng.normal(size=6)]) <= 1e-6
 
     def test_block_polar(self):
-        def build(t, ps):
-            (z,) = ps
-            radii, angles = t.block_polar(z)
-            return t.add(t.sum(t.square(radii)), t.sum(t.sin(angles)))
-
+        # one frequency per block: each character sees one block's angle
         rng = np.random.default_rng(8)
         z = rng.normal(size=(5, 6))
         z[np.abs(z) < 0.2] += 0.5  # keep radii away from the floor region
-        assert gradcheck(lambda t, ps: build(t, ps), [z]) <= 1e-6
-
-    def test_torus_features(self):
-        freq = np.array([[1.0, 0.0], [1.0, -1.0], [2.0, 1.0]])
+        freq = np.eye(3)
+        weights = rng.normal(size=(5, 9))
 
         def build(t, ps):
-            (angles,) = ps
-            cos_f, sin_f = t.torus_features(angles, freq)
-            return t.add(t.sum(t.square(cos_f)), t.sum(t.mul(sin_f, sin_f)))
+            return _weighted_sum(t, t.record(model.features_stage, ps, freq), weights)
 
+        assert gradcheck(build, [z]) <= 1e-6
+
+    def test_torus_features(self):
         rng = np.random.default_rng(9)
-        assert gradcheck(build, [rng.uniform(0.2, 5.0, size=(4, 2))]) <= 1e-6
+        z = rng.normal(size=(4, 6))
+        z[np.abs(z) < 0.2] += 0.5
+        freq = model.init_params(6, 2, seed=0).freq_matrix()
+        weights = rng.normal(size=(4, 2 * freq.shape[0] + 3))
+
+        def build(t, ps):
+            return _weighted_sum(t, t.record(model.features_stage, ps, freq), weights)
+
+        assert gradcheck(build, [z]) <= 1e-6
+
+    def _dense_case(self, relu, seed):
+        rng = np.random.default_rng(seed)
+        h, w, b = rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+        pre = h @ w + b
+        assert np.min(np.abs(pre)) > 1e-3  # away from the ReLU kink
+        weights = rng.normal(size=(6, 3))
+
+        def build(t, ps):
+            return _weighted_sum(t, t.record(model.dense_stage, ps, relu), weights)
+
+        out, _ = model.dense_stage(h, w, b, relu)
+        assert np.array_equal(out, np.maximum(pre, 0.0) if relu else pre)
+        return gradcheck(build, [h, w, b])
+
+    def test_matmul_both_orders(self):
+        assert self._dense_case(relu=False, seed=5) <= 1e-6
+
+    def test_relu_away_from_kink(self):
+        assert self._dense_case(relu=True, seed=10) <= 1e-6
+
+    def test_reductions_and_slices(self):
+        # resonance penalty: row sums of w0 squared, cos/sin slices, rates
+        params = model.init_params(4, 2, hidden=6, seed=17, first_layer_scale=1.0)
+        rng = np.random.default_rng(6)
+        freq = params.freq_matrix()
+
+        def build(t, ps):
+            return t.record(model.penalty_stage, ps, freq)
+
+        assert gradcheck(build, [params.layers[0][0].copy(), rng.normal(size=2)]) <= 1e-6
 
     def test_logistic_loss(self):
         targets = np.array([[1.0], [0.0], [1.0], [0.0]])
 
         def build(t, ps):
-            (logits,) = ps
-            return t.logistic_loss(logits, targets)
+            return t.record(model.loss_stage, ps, targets, "logistic")
 
         rng = np.random.default_rng(10)
         assert gradcheck(build, [rng.normal(size=(4, 1))]) <= 1e-6
 
-    def test_bias_broadcast(self):
-        def build(t, ps):
-            x, b = ps
-            return t.sum(t.square(t.add(x, b)))
+    def test_squared_error(self):
+        rng = np.random.default_rng(12)
+        y = rng.normal(size=(6, 2))
 
-        self._check(build, [(5, 3), (3,)], 11)
+        def build(t, ps):
+            return t.record(model.loss_stage, ps, y, "squared-error")
+
+        assert gradcheck(build, [rng.normal(size=(6, 2))]) <= 1e-6
 
 
 class TestErrors:
-    def test_div_by_zero(self):
-        t = Tape()
-        with pytest.raises(ZeroDivisionError):
-            t.div(t.param(1.0), t.param(0.0))
-
-    def test_sqrt_negative(self):
-        t = Tape()
-        with pytest.raises(ValueError):
-            t.sqrt(t.param(-1.0))
-
-    def test_atan2_origin(self):
-        t = Tape()
-        with pytest.raises(ValueError):
-            t.atan2(t.param(0.0), t.param(0.0))
-
     def test_backward_before_forward(self):
         t = Tape()
         p = t.param(1.0)
@@ -192,7 +198,7 @@ class TestErrors:
     def test_backward_requires_scalar(self):
         t = Tape()
         x = t.param(np.ones(3))
-        y = t.square(x)
+        y = t.record(_square_stage, (x,))
         with pytest.raises(ValueError):
             t.backward(y)
 
@@ -202,6 +208,30 @@ class TestErrors:
         b = t2.param(2.0)
         with pytest.raises(ValueError):
             t1.add(a, b)
+        with pytest.raises(ValueError):
+            t1.record(_square_stage, (b,))
+        loss1 = t1.scale(a, 1.0)
+        t2.scale(b, 1.0)
+        with pytest.raises(ValueError):
+            t2.backward(loss1)
+
+
+class TestLifetime:
+    def test_used_tape_freed_without_cyclic_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            t = Tape()
+            x = t.param(np.ones((4, 3)))
+            w = t.param(np.ones((3, 2)))
+            loss = t.record(_sum_stage, (t.record(_matmul_stage, (x, w)),))
+            t.backward(loss)
+            ref = weakref.ref(t)
+            del t
+            assert ref() is None
+            assert np.array_equal(w.grad, np.full((3, 2), 4.0))  # results outlive the tape
+        finally:
+            gc.enable()
 
 
 class TestDeterminism:
@@ -214,13 +244,8 @@ class TestDeterminism:
             t = Tape()
             x = t.param(x0.copy())
             w = t.param(w0.copy())
-            radii, angles = t.block_polar(x)
-            cos_f, sin_f = t.torus_features(angles, np.array([[1.0, -1.0]]))
-            h = t.relu(t.matmul(x, w))
-            loss = t.add(
-                t.sum(t.square(h)),
-                t.add(t.sum(cos_f), t.add(t.sum(sin_f), t.sum(radii))),
-            )
+            h = t.record(model.dense_stage, (x, w, np.zeros(3)), True)
+            loss = t.add(t.record(_sum_stage, (h,)), t.scale(t.record(_sum_stage, (x,)), 0.5))
             t.backward(loss)
             return float(loss.value), x.grad.copy(), w.grad.copy()
 
@@ -233,7 +258,7 @@ class TestDeterminism:
     def test_repeated_backward_resets_adjoints(self):
         t = Tape()
         x = t.param(2.0)
-        loss = t.square(x)
+        loss = t.record(_square_stage, (x,))
         t.backward(loss)
         first = float(x.grad)
         t.backward(loss)

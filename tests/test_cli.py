@@ -101,6 +101,23 @@ class TestTrainEval:
                      "--out", str(tmp_path / "run"))
         assert rc == 1
 
+    def test_eval_of_nonfinite_dataset_exits_one(self, tmp_path, dataset_file, capsys):
+        rc = run_cli("train", "--data", str(dataset_file), "--epochs", "2",
+                     "--warmup-epochs", "1", "--bandwidth", "1", "--restarts", "1",
+                     "--out", str(tmp_path / "run"))
+        assert rc == 0
+        lines = dataset_file.read_text().split("\n")
+        sample = json.loads(lines[2])
+        sample["y"][0] = float("nan")
+        lines[2] = json.dumps(sample)
+        bad = tmp_path / "nan.jsonl"
+        bad.write_text("\n".join(lines))
+        rc = run_cli("eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                     "--data", str(bad), "--out", str(tmp_path / "eval.json"))
+        assert rc == 1
+        assert "line 3: non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "eval.json").exists()
+
     def test_bad_flag_exits_one(self, tmp_path):
         rc = run_cli("train", "--data", "x", "--out", "y", "--no-such-flag")
         assert rc == 1

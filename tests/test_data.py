@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -152,8 +154,6 @@ class TestSerialization:
         assert np.array_equal(back.meta.true_rates, ds.meta.true_rates)
 
     def test_meta_header_first_line(self, tmp_path):
-        import json
-
         ds = data.double_pendulum_task(10, 0.0, seed=23)
         path = tmp_path / "ds.jsonl"
         data.save_dataset(ds, path)
@@ -167,6 +167,19 @@ class TestSerialization:
         path.write_text('{"meta": {"task": "t", "n": 2, "outDim": 1, "nSamples": 1, '
                         '"noiseSigma": 0, "seed": 0}}\n{not json}\n')
         with pytest.raises(ValueError, match="line 2"):
+            data.load_dataset(path)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["x", "y"])
+    def test_nonfinite_value_reports_lineno(self, tmp_path, bad, field):
+        ds = data.double_pendulum_task(5, 0.1, seed=24)
+        path = tmp_path / "ds.jsonl"
+        data.save_dataset(ds, path)
+        lines = path.read_text().split("\n")
+        sample = {"x": ds.x[3].tolist(), "y": ds.y[3].tolist()}
+        lines[4] = json.dumps(sample).replace(repr(sample[field][0]), bad, 1)
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match="line 5: non-finite"):
             data.load_dataset(path)
 
     def test_missing_header_rejected(self, tmp_path):

@@ -60,30 +60,34 @@ class TestExpSkewOnTape:
     def test_primal_matches_plain_matrix_exp(self):
         rng = np.random.default_rng(5)
         for n in (2, 4, 6):
-            mat = skew_from_params(rng.normal(size=n * (n - 1) // 2), n)
-            tape = Tape()
-            var = tape.param(mat)
-            out = model.exp_skew(tape, var)
-            assert np.array_equal(out.value, matrix_exp(mat, 1.0))
+            skew = rng.normal(size=n * (n - 1) // 2)
+            x = rng.normal(size=(7, n))
+            z, _ = model.align_stage(skew, x, False)
+            assert np.array_equal(z, x @ matrix_exp(skew_from_params(skew, n), 1.0))
+            flipped, _ = model.align_stage(skew, x, True)
+            assert np.array_equal(flipped[:, :-1], z[:, :-1])
+            assert np.array_equal(flipped[:, -1], -z[:, -1])
 
     def test_gradient_checks(self):
+        # skews large enough for the squaring steps, both parities
         rng = np.random.default_rng(6)
-        v0 = rng.normal(size=6)
+        for n, reflected in ((4, False), (4, True), (6, False), (6, True)):
+            skew = rng.normal(size=n * (n - 1) // 2)
+            assert lie.exp_steps(skew_from_params(skew, n))[4]
+            x = rng.normal(size=(5, n))
+            weights = rng.normal(size=(5, n))
 
-        def value(params):
-            tape = Tape()
-            var = tape.param(params[0])
-            out = model.exp_skew(tape, tape.skew_matrix(var, 4))
-            return float(np.sum(out.value * weights))
+            def value(arrays):
+                z, _ = model.align_stage(arrays[0], x, reflected)
+                return float(np.sum(weights * z))
 
-        weights = rng.normal(size=(4, 4))
-        tape = Tape()
-        var = tape.param(v0)
-        out = model.exp_skew(tape, tape.skew_matrix(var, 4))
-        loss = tape.sum(tape.mul(out, tape.constant(weights)))
-        tape.backward(loss)
-        fd = fd_gradient(value, [v0.copy()])
-        assert max_rel_error([var.grad], fd) <= 1e-6
+            _, vjp = model.align_stage(skew, x, reflected)
+            fd = fd_gradient(value, [skew.copy()])
+            assert max_rel_error(list(vjp(weights)), fd) <= 1e-6
+
+    def test_unknown_loss_rejected(self):
+        with pytest.raises(ValueError):
+            model.loss_stage(np.zeros((2, 1)), np.zeros((2, 1)), "hinge")
 
 
 class TestFeaturize:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import sospec.model as model
+from sospec.autodiff import Tape
 from sospec.data import Dataset, DatasetMeta, synth_invariant_regression
 from sospec.lattice import FrequencyVector
 from sospec.lie import CanonicalForm, assemble_generator, generator_cosine_similarity
-from sospec.train import TrainConfig, discover, mu_schedule, split_indices, train
+from sospec.train import TrainConfig, _flat_gradient, discover, mu_schedule, split_indices, train
 
 
 def micro_config(**kw):
@@ -143,6 +144,46 @@ class TestTrainBehavior:
         _, report = train(ds, cfg)
         for knob in cfg.echo():
             assert knob in report.config
+
+
+class TestFlatParameters:
+    def test_pack_makes_views_and_copy_snapshots_them(self):
+        params = model.init_params(4, 1, hidden=8, seed=3)
+        before = {name: a.copy() for name, a in model.leaf_arrays(params).items()}
+        flat = model.pack(params)
+        offset = 0
+        for name, a in model.leaf_arrays(params).items():
+            assert np.shares_memory(a, flat) and a.flags.c_contiguous
+            assert np.array_equal(flat[offset : offset + a.size], before[name].ravel())
+            offset += a.size
+        assert offset == flat.size
+        snapshot = params.copy()
+        flat += 1.0
+        for name, a in model.leaf_arrays(snapshot).items():
+            assert not np.shares_memory(a, flat)
+            assert np.array_equal(a, before[name])
+        assert np.array_equal(params.layers[2][0], before["w2"] + 1.0)
+
+    @pytest.mark.parametrize("freeze", [True, False])
+    def test_warmup_zeroes_only_the_rates_slice(self, freeze):
+        params = model.init_params(4, 1, hidden=8, seed=4, first_layer_scale=1.0)
+        rng = np.random.default_rng(5)
+        tape = Tape()
+        obj, _, _, leaves = model.build_objective(
+            tape, params, rng.normal(size=(6, 4)), rng.normal(size=(6, 1)), mu=0.5
+        )
+        tape.backward(obj)
+        grad = _flat_gradient(leaves, freeze_rates=freeze)
+        offset = 0
+        for name, leaf in leaves.items():
+            part = grad[offset : offset + leaf.value.size]
+            offset += leaf.value.size
+            if name == "rates" and freeze:
+                assert np.all(part == 0.0)
+            else:
+                assert np.any(part != 0.0)
+                assert np.array_equal(part, leaf.grad.ravel())
+        assert offset == grad.size
 
 
 class TestDiscover:
