@@ -175,12 +175,7 @@ def cmd_eval(args):
         raise CliError("checkpoint carries no training configuration")
     cfg = TrainConfig(**cfg_fields)
     evald = evaluate_params(params, ds, cfg)
-    report = RunReport(
-        task=ds.meta.task,
-        seed=cfg.seed,
-        config=saved_cfg,
-        backend=saved_cfg.get("backend", "n/a"),
-    )
+    report = RunReport(task=ds.meta.task, seed=cfg.seed, config=saved_cfg)
     _report_from_eval(report, evald)
     _write_json(args.out, report.to_json_dict())
     headline = (

@@ -111,31 +111,11 @@ class GeneratorParams:
         (exp(A), rates with the last sign flipped), since D conjugates the
         last plane.
         """
-        from .lie import CanonicalForm, matrix_exp, skew_from_params
-
-        q = matrix_exp(skew_from_params(self.skew, self.n), 1.0)
+        q = lie.matrix_exp(lie.skew_from_params(self.skew, self.n), 1.0)
         rates = self.rates.copy()
         if self.reflected:
             rates[-1] = -rates[-1]
-        return CanonicalForm(q, rates)
-
-
-@dataclass(frozen=True)
-class FeatureBundle:
-    """Features of one input: per-frequency (cos, sin) pairs and block radii."""
-
-    freqs: tuple
-    cos: np.ndarray
-    sin: np.ndarray
-    radii: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.abs(self.cos**2 + self.sin**2 - 1.0) > 1e-12):
-            raise ValueError("character features must lie on the unit circle")
-
-    def pair(self, freq):
-        i = self.freqs.index(freq)
-        return self.cos[i], self.sin[i]
+        return lie.CanonicalForm(q, rates)
 
 
 def init_params(
@@ -236,7 +216,6 @@ def align_stage(skew, x, reflected):
 def features_stage(z, freq):
     """Network input from aligned rows: [cos | sin | radii], one cos/sin
     pair per frequency (row of `freq`) of the block-polar torus angles."""
-    z = np.ascontiguousarray(z)
     radii, angles = kernels.block_polar_fwd(z)
     cos_f, sin_f = kernels.torus_fwd(angles, freq)
     f = freq.shape[0]
@@ -368,25 +347,6 @@ def alignment_matrix(params):
         q = q.copy()
         q[:, -1] = -q[:, -1]
     return q
-
-
-def align(params, x):
-    """Inputs expressed in the learned frame (Q^T x per sample)."""
-    q = alignment_matrix(params)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return q.T @ x
-    return x @ q
-
-
-def featurize(params, x):
-    """FeatureBundle for one input vector."""
-    z = align(params, x)[None, :]
-    radii, angles = kernels.block_polar_fwd(np.ascontiguousarray(z))
-    cos_f, sin_f = kernels.torus_fwd(angles, params.freq_matrix())
-    return FeatureBundle(
-        freqs=tuple(params.freqs), cos=cos_f[0], sin=sin_f[0], radii=radii[0]
-    )
 
 
 def coefficient_norms(params):

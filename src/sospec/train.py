@@ -86,7 +86,6 @@ class RunReport:
     task: str
     seed: int
     config: dict
-    backend: str
     test_mse: float | None = None
     accuracy: float | None = None
     invariance_error: float | None = None
@@ -113,7 +112,6 @@ class RunReport:
             "task": self.task,
             "seed": self.seed,
             "config": self.config,
-            "backend": self.backend,
             "testMse": self.test_mse,
             "accuracy": self.accuracy,
             "invarianceError": self.invariance_error,
@@ -405,7 +403,6 @@ def train(dataset, cfg):
         task=dataset.meta.task,
         seed=cfg.seed,
         config={**cfg.echo(), "resolvedLoss": loss_kind},
-        backend=kernels.active_backend(),
     )
 
     outcomes = []

@@ -73,6 +73,7 @@ class TestTrainEval:
         assert rc == 0
         train_doc = json.loads((tmp_path / "run" / "report.json").read_text())
         eval_doc = json.loads((tmp_path / "eval.json").read_text())
+        assert train_doc.keys() == eval_doc.keys()
         for key in ("testMse", "invarianceError", "cosineSimilarity",
                     "cosineSimilaritySpectral", "recoveredLambda", "spectralLambda",
                     "nullity", "survivingFrequencies"):

@@ -1,17 +1,6 @@
 import numpy as np
-import pytest
 
 from sospec import kernels
-from sospec.backend import HAVE_NUMBA
-
-BACKENDS = ["numpy"] + (["numba"] if HAVE_NUMBA else [])
-
-
-@pytest.fixture(autouse=True)
-def restore_backend():
-    before = kernels.active_backend()
-    yield
-    kernels.set_backend(before)
 
 
 def _random_case(seed, b=64, n=6, f=13):
@@ -21,52 +10,8 @@ def _random_case(seed, b=64, n=6, f=13):
     return z, freq, rng
 
 
-class TestBackendEquivalence:
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-    def test_block_polar_matches(self):
-        z, _, rng = _random_case(0)
-        r_np, a_np = kernels._block_polar_fwd_np(z)
-        r_nb, a_nb = kernels._block_polar_fwd_nb(z)
-        assert np.allclose(r_np, r_nb, atol=1e-14)
-        assert np.allclose(a_np, a_nb, atol=1e-14)
-        dr = rng.normal(size=r_np.shape)
-        da = rng.normal(size=a_np.shape)
-        dz_np = kernels._block_polar_bwd_np(z, r_np, dr, da)
-        dz_nb = kernels._block_polar_bwd_nb(z, r_nb, dr, da)
-        assert np.allclose(dz_np, dz_nb, atol=1e-12)
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-    def test_torus_matches(self):
-        z, freq, rng = _random_case(1)
-        _, angles = kernels._block_polar_fwd_np(z)
-        c_np, s_np = kernels._torus_fwd_np(angles, freq)
-        c_nb, s_nb = kernels._torus_fwd_nb(angles, freq)
-        assert np.allclose(c_np, c_nb, atol=1e-12)
-        assert np.allclose(s_np, s_nb, atol=1e-12)
-        dc = rng.normal(size=c_np.shape)
-        ds = rng.normal(size=s_np.shape)
-        da_np = kernels._torus_bwd_np(c_np, s_np, dc, ds, freq)
-        da_nb = kernels._torus_bwd_nb(c_nb, s_nb, dc, ds, freq)
-        assert np.allclose(da_np, da_nb, atol=1e-12)
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-    def test_adam_matches_bitwise(self):
-        rng = np.random.default_rng(2)
-        p0 = rng.normal(size=257)
-        g = rng.normal(size=257)
-        state = {}
-        for name, fn in [("numpy", kernels._adam_step_np), ("numba", kernels._adam_step_nb)]:
-            p, m, v = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
-            for t in range(1, 6):
-                fn(p, g, m, v, 1e-3, 0.9, 0.999, 1e-8, 1 - 0.9**t, 1 - 0.999**t)
-            state[name] = p
-        assert np.array_equal(state["numpy"], state["numba"])
-
-
 class TestKernelSemantics:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_angles_in_range_and_floor(self, backend):
-        kernels.set_backend(backend)
+    def test_angles_in_range_and_floor(self):
         z = np.array([[0.0, 0.0, 1.0, -1.0]])
         radii, angles = kernels.block_polar_fwd(z)
         assert radii[0, 0] == kernels.RADIUS_FLOOR
@@ -76,9 +21,7 @@ class TestKernelSemantics:
         dz = kernels.block_polar_bwd(z, radii, np.ones_like(radii), np.ones_like(angles))
         assert dz[0, 0] == 0.0 and dz[0, 1] == 0.0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_torus_features_unit_circle(self, backend):
-        kernels.set_backend(backend)
+    def test_torus_features_unit_circle(self):
         z, freq, _ = _random_case(3)
         _, angles = kernels.block_polar_fwd(z)
         cos_f, sin_f = kernels.torus_fwd(angles, freq)
@@ -101,7 +44,3 @@ class TestKernelSemantics:
                 ev[i] = b2 * ev[i] + (1 - b2) * g[i] * g[i]
                 expect[i] -= lr * (em[i] / bc1) / (np.sqrt(ev[i] / bc2) + eps)
         assert np.allclose(p, expect, atol=1e-15)
-
-    def test_set_backend_validates(self):
-        with pytest.raises(ValueError):
-            kernels.set_backend("cuda")

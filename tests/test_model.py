@@ -26,34 +26,49 @@ def hand_params(n, bandwidth, w1, hidden_layers, rates=None, skew=None):
     )
 
 
+def align_rows(params, x):
+    """align_stage's value: the rows of x in the params' learned frame."""
+    z, _ = model.align_stage(params.skew, x, params.reflected)
+    return z
+
+
+def features_of(params, x):
+    """The cos, sin and radii slices of features_stage's value for one
+    input vector."""
+    feats, _ = model.features_stage(align_rows(params, x[None]), params.freq_matrix())
+    f = params.num_freqs
+    return feats[0, :f], feats[0, f : 2 * f], feats[0, 2 * f :]
+
+
 class TestAlign:
     def test_zero_skew_is_identity(self):
         params = model.init_params(4, 1, seed=0)
         params.skew[:] = 0.0
         x = np.array([0.3, -1.2, 0.5, 2.0])
-        assert np.array_equal(model.align(params, x), x)
+        assert np.array_equal(align_rows(params, x[None])[0], x)
 
     def test_isometry(self):
         rng = np.random.default_rng(1)
         params = model.init_params(6, 1, seed=2)
         for _ in range(20):
             x = rng.normal(size=6)
-            assert abs(np.linalg.norm(model.align(params, x)) - np.linalg.norm(x)) <= 1e-9
+            z = align_rows(params, x[None])[0]
+            assert abs(np.linalg.norm(z) - np.linalg.norm(x)) <= 1e-9
 
     def test_planar_quarter_turn_convention(self):
         # A = (pi/2) * unit skew; alignment applies Q^T, so (1,0) -> (0,-1).
         params = model.init_params(2, 1, seed=0)
         params.skew = np.array([np.pi / 2])
-        out = model.align(params, np.array([1.0, 0.0]))
+        out = align_rows(params, np.array([[1.0, 0.0]]))[0]
         assert np.allclose(out, [0.0, -1.0], atol=1e-12)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(3)
         params = model.init_params(4, 1, seed=4)
         xs = rng.normal(size=(5, 4))
-        batch = model.align(params, xs)
+        batch = align_rows(params, xs)
         for i in range(5):
-            assert np.allclose(batch[i], model.align(params, xs[i]), atol=1e-15)
+            assert np.allclose(batch[i], align_rows(params, xs[i][None])[0], atol=1e-15)
 
 
 class TestExpSkewOnTape:
@@ -95,16 +110,16 @@ class TestFeaturize:
         rng = np.random.default_rng(7)
         params = model.init_params(6, 2, seed=8)
         for _ in range(10):
-            fb = model.featurize(params, rng.normal(size=6))
-            assert np.all(np.abs(fb.cos**2 + fb.sin**2 - 1.0) <= 1e-12)
+            cos, sin, _ = features_of(params, rng.normal(size=6))
+            assert np.all(np.abs(cos**2 + sin**2 - 1.0) <= 1e-12)
 
     def test_positive_real_blocks(self):
         params = model.init_params(4, 1, seed=9)
         params.skew[:] = 0.0
-        fb = model.featurize(params, np.array([2.0, 0.0, 0.5, 0.0]))
-        assert np.allclose(fb.cos, 1.0, atol=1e-15)
-        assert np.allclose(fb.sin, 0.0, atol=1e-15)
-        assert np.allclose(fb.radii, [2.0, 0.5], atol=1e-15)
+        cos, sin, radii = features_of(params, np.array([2.0, 0.0, 0.5, 0.0]))
+        assert np.allclose(cos, 1.0, atol=1e-15)
+        assert np.allclose(sin, 0.0, atol=1e-15)
+        assert np.allclose(radii, [2.0, 0.5], atol=1e-15)
 
     def test_resonant_features_invariant_under_true_flow(self):
         params = model.init_params(4, 1, seed=10)
@@ -116,11 +131,11 @@ class TestFeaturize:
         for _ in range(20):
             x = rng.normal(size=4)
             t = rng.uniform(-np.pi, np.pi)
-            fb0 = model.featurize(params, x)
-            fb1 = model.featurize(params, matrix_exp(gen, t) @ x)
-            assert abs(fb0.cos[idx] - fb1.cos[idx]) <= 1e-9
-            assert abs(fb0.sin[idx] - fb1.sin[idx]) <= 1e-9
-            assert np.all(np.abs(fb0.radii - fb1.radii) <= 1e-9)
+            cos0, sin0, radii0 = features_of(params, x)
+            cos1, sin1, radii1 = features_of(params, matrix_exp(gen, t) @ x)
+            assert abs(cos0[idx] - cos1[idx]) <= 1e-9
+            assert abs(sin0[idx] - sin1[idx]) <= 1e-9
+            assert np.all(np.abs(radii0 - radii1) <= 1e-9)
 
 
 class TestPredict:
