@@ -24,11 +24,12 @@ from .data import (
 )
 from .lie import CanonicalForm, retract_orthogonal
 from .sweep import SweepSpec, run_sweep, write_sweep_outputs
-from .train import RunReport, TrainConfig, _report_from_eval, evaluate_params, train
+from .train import RunReport, TrainConfig, evaluate_params, train
 
 TASKS = ("pendulum6d", "synth", "synth-cls")
 
-# TrainConfig fields settable via config file or flags.
+# TrainConfig fields settable via config file or flags, with the plain
+# type (int, float or str) that parses each from text.
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 
 
@@ -56,21 +57,12 @@ def _parse_config_file(path):
     return values
 
 
-def _coerce(key, raw):
-    if key in ("loss", "mu_ramp"):
-        return raw
-    if key in ("epochs", "batch_size", "warmup_epochs", "bandwidth", "seed", "hidden",
-               "restarts", "inv_x_samples", "inv_t_samples"):
-        return int(raw)
-    return float(raw)
-
-
 def build_train_config(args):
     """Defaults < config file < explicit flags, all validated by TrainConfig."""
     values = {}
     if getattr(args, "config", None):
         for key, raw in _parse_config_file(args.config).items():
-            values[key] = _coerce(key, raw)
+            values[key] = _CONFIG_FIELDS[key](raw)
     for key in _CONFIG_FIELDS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -173,10 +165,14 @@ def cmd_eval(args):
     cfg_fields = {k: v for k, v in saved_cfg.items() if k in _CONFIG_FIELDS}
     if not cfg_fields:
         raise CliError("checkpoint carries no training configuration")
+    if (ds.meta.n, ds.meta.out_dim) != (params.n, params.out_dim):
+        raise CliError(
+            f"dataset {args.data} has n={ds.meta.n} and out_dim={ds.meta.out_dim}, "
+            f"checkpoint {args.checkpoint} has n={params.n} and out_dim={params.out_dim}"
+        )
     cfg = TrainConfig(**cfg_fields)
-    evald = evaluate_params(params, ds, cfg)
     report = RunReport(task=ds.meta.task, seed=cfg.seed, config=saved_cfg)
-    _report_from_eval(report, evald)
+    evaluate_params(params, ds, cfg, report)
     _write_json(args.out, report.to_json_dict())
     headline = (
         f"acc={report.accuracy:.4f}" if report.accuracy is not None else f"mse={report.test_mse:.6f}"

@@ -83,6 +83,11 @@ class Dataset:
             raise ValueError("x and y must be 2-d with matching row counts")
         if self.x.shape[0] < 1:
             raise ValueError("dataset must contain at least one sample")
+        if self.x.shape[1] != self.meta.n or self.y.shape[1] != self.meta.out_dim:
+            raise ValueError(
+                f"samples have {self.x.shape[1]} inputs and {self.y.shape[1]} outputs, "
+                f"meta declares n={self.meta.n} and out_dim={self.meta.out_dim}"
+            )
         if self.meta.true_generator is not None:
             b = self.meta.true_generator.entries
             if np.linalg.norm(b + b.T) > 1e-12:
@@ -296,18 +301,6 @@ def double_pendulum_task(n_samples, noise_sigma, seed):
     return Dataset(x, y, meta)
 
 
-def add_noise(ds, sigma, seed):
-    """Fresh dataset with independent Gaussian noise added to the targets."""
-    if sigma < 0:
-        raise ValueError("noise sigma must be nonnegative")
-    if sigma == 0:
-        return Dataset(ds.x.copy(), ds.y.copy(), replace(ds.meta))
-    rng = np.random.default_rng(seed)
-    y = ds.y + sigma * rng.standard_normal(ds.y.shape)
-    meta = replace(ds.meta, noise_sigma=float(np.hypot(ds.meta.noise_sigma, sigma)))
-    return Dataset(ds.x.copy(), y, meta)
-
-
 # -- serialization ---------------------------------------------------------------
 
 
@@ -319,8 +312,9 @@ def save_dataset(ds, path):
 
 
 def load_dataset(path):
-    """Read a JSONL dataset; malformed lines and non-finite values raise
-    ValueError naming the file line."""
+    """Read a JSONL dataset; malformed lines, non-finite values and samples
+    that do not match the header's dimensions raise ValueError naming the
+    file (and the line, where there is one)."""
     xs, ys, linenos = [], [], []
     meta = None
     with open(path, encoding="utf-8") as fh:
@@ -344,7 +338,10 @@ def load_dataset(path):
                 linenos.append(lineno)
     if meta is None:
         raise ValueError(f"{path}: empty dataset file")
-    ds = Dataset(np.asarray(xs), np.asarray(ys), meta)
+    try:
+        ds = Dataset(np.asarray(xs), np.asarray(ys), meta)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     finite = np.isfinite(ds.x).all(axis=1) & np.isfinite(ds.y).all(axis=1)
     if not finite.all():
         lineno = linenos[int(np.argmin(finite))]

@@ -9,9 +9,10 @@ suppresses first-layer mass on features whose frequency is not orthogonal
 to the rates.
 
 The pipeline is a fixed chain of closed-form stages: align, features, one
-dense stage per layer, the loss and the penalty. Each is a plain function
-returning (value, vjp). `build_objective` records each stage as one tape
-entry; `predict` calls the same functions and drops the vjp.
+dense stage per layer, the loss, the penalty and their weighted sum. Each
+is a plain function returning (value, vjp). `build_objective` records each
+stage as one tape entry; `predict` calls the same functions and drops the
+vjp.
 """
 
 import json
@@ -276,6 +277,11 @@ def penalty_stage(w0, rates, freq):
     return np.sum(csq * dots_sq), vjp
 
 
+def objective_stage(pred_loss, penalty, mu):
+    """The objective: prediction loss plus mu times the penalty."""
+    return pred_loss + penalty * mu, lambda g: (g, g * mu)
+
+
 # -- objective and prediction ----------------------------------------------------
 
 
@@ -321,7 +327,7 @@ def build_objective(tape, params, x, y, mu, loss_kind=None):
         h = tape.record(dense_stage, (h, leaves[f"w{i}"], leaves[f"b{i}"]), i != last)
     pred_loss = tape.record(loss_stage, (h,), y, loss_kind)
     penalty = tape.record(penalty_stage, (leaves["w0"], leaves["rates"]), freq)
-    objective = tape.add(pred_loss, tape.scale(penalty, mu))
+    objective = tape.record(objective_stage, (pred_loss, penalty), float(mu))
     return objective, pred_loss, penalty, leaves
 
 

@@ -240,8 +240,9 @@ def _forward_loss(params, x, y, loss_kind):
     return float(model.loss_stage(model.predict(params, x), y, loss_kind)[0])
 
 
-def evaluate_params(params, ds, cfg, loss_kind=None):
-    """Held-out metrics and generator recovery for trained parameters.
+def evaluate_params(params, ds, cfg, report, loss_kind=None):
+    """Fill `report` with held-out metrics and generator recovery for
+    trained parameters.
 
     Shared by the trainer and standalone checkpoint evaluation so the two
     produce identical numbers for identical inputs.
@@ -249,20 +250,18 @@ def evaluate_params(params, ds, cfg, loss_kind=None):
     loss_kind = loss_kind or resolve_loss(cfg, ds.meta)
     _, _, test_idx = split_indices(len(ds), cfg.seed)
     x_test, y_test = ds.x[test_idx], ds.y[test_idx]
-    out = {
-        "test_mse": None,
-        "accuracy": None,
-        "invariance_error": None,
-        "cosine_similarity": None,
-        "cosine_similarity_spectral": None,
-    }
     if loss_kind == "squared-error":
-        out["test_mse"] = metrics.test_mse(params, x_test, y_test)
+        report.test_mse = metrics.test_mse(params, x_test, y_test)
     else:
-        out["accuracy"] = metrics.accuracy(params, x_test, y_test)
+        report.accuracy = metrics.accuracy(params, x_test, y_test)
 
     disc = discover(params, cfg.rel_threshold)
-    out["discovery"] = disc
+    report.estimator_agreement = disc.agreement
+    report.recovered_rates = disc.rates_learned.tolist()
+    report.spectral_rates = disc.rates_spectral.tolist()
+    report.nullity = disc.nullity
+    report.rates_reliable = disc.reliable
+    report.surviving = [f.to_json() for f in disc.surviving]
 
     true_gen = ds.meta.true_generator
     if true_gen is not None:
@@ -270,27 +269,9 @@ def evaluate_params(params, ds, cfg, loss_kind=None):
         take = min(cfg.inv_x_samples, x_test.shape[0])
         xs = x_test[rng.choice(x_test.shape[0], size=take, replace=False)]
         ts = rng.uniform(-cfg.t_max, cfg.t_max, size=cfg.inv_t_samples)
-        out["invariance_error"] = metrics.invariance_error(params, xs, true_gen, ts)
-        out["cosine_similarity"] = generator_cosine_similarity(disc.direct, true_gen)
-        out["cosine_similarity_spectral"] = generator_cosine_similarity(
-            disc.spectral, true_gen
-        )
-    return out
-
-
-def _report_from_eval(report, evald):
-    disc = evald["discovery"]
-    report.test_mse = evald["test_mse"]
-    report.accuracy = evald["accuracy"]
-    report.invariance_error = evald["invariance_error"]
-    report.cosine_similarity = evald["cosine_similarity"]
-    report.cosine_similarity_spectral = evald["cosine_similarity_spectral"]
-    report.estimator_agreement = disc.agreement
-    report.recovered_rates = disc.rates_learned.tolist()
-    report.spectral_rates = disc.rates_spectral.tolist()
-    report.nullity = disc.nullity
-    report.rates_reliable = disc.reliable
-    report.surviving = [f.to_json() for f in disc.surviving]
+        report.invariance_error = metrics.invariance_error(params, xs, true_gen, ts)
+        report.cosine_similarity = generator_cosine_similarity(disc.direct, true_gen)
+        report.cosine_similarity_spectral = generator_cosine_similarity(disc.spectral, true_gen)
 
 
 class _RestartFailure(Exception):
@@ -423,6 +404,6 @@ def train(dataset, cfg):
     report.penalty_curve = curves["penalty"]
     report.val_curve = curves["val"]
     report.mu_curve = curves["mu"]
-    _report_from_eval(report, evaluate_params(best_params, dataset, cfg, loss_kind))
+    evaluate_params(best_params, dataset, cfg, report, loss_kind)
     report.wall_clock = time.perf_counter() - start
     return best_params, report

@@ -119,6 +119,30 @@ class TestTrainEval:
         assert "line 3: non-finite" in capsys.readouterr().err
         assert not (tmp_path / "eval.json").exists()
 
+    def test_eval_on_dataset_of_other_dimensions_exits_one(self, tmp_path, dataset_file, capsys):
+        rc = run_cli("train", "--data", str(dataset_file), "--epochs", "2",
+                     "--warmup-epochs", "1", "--bandwidth", "1", "--restarts", "1",
+                     "--out", str(tmp_path / "run"))
+        assert rc == 0
+        six = tmp_path / "six.jsonl"
+        assert run_cli("gen-data", "--task", "pendulum6d", "--n-samples", "50",
+                       "--out", str(six)) == 0
+        # the 4-d task with every target doubled into two outputs
+        lines = dataset_file.read_text().strip().split("\n")
+        header = json.loads(lines[0])
+        header["meta"]["outDim"] = 2
+        samples = [json.loads(line) for line in lines[1:]]
+        two = tmp_path / "two.jsonl"
+        two.write_text("\n".join([json.dumps(header)] + [
+            json.dumps({"x": s["x"], "y": s["y"] * 2}) for s in samples
+        ]))
+        for data, found in ((six, "has n=6 and out_dim=1"), (two, "has n=4 and out_dim=2")):
+            rc = run_cli("eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                         "--data", str(data), "--out", str(tmp_path / "eval.json"))
+            assert rc == 1
+            assert found in capsys.readouterr().err
+            assert not (tmp_path / "eval.json").exists()
+
     def test_bad_flag_exits_one(self, tmp_path):
         rc = run_cli("train", "--data", "x", "--out", "y", "--no-such-flag")
         assert rc == 1

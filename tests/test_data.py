@@ -124,20 +124,6 @@ class TestPendulum:
         assert not np.array_equal(clean.y, noisy.y)
 
 
-class TestAddNoise:
-    def test_sigma_zero_is_identity(self):
-        ds = data.double_pendulum_task(100, 0.1, seed=17)
-        out = data.add_noise(ds, 0.0, seed=18)
-        assert np.array_equal(out.x, ds.x) and np.array_equal(out.y, ds.y)
-
-    def test_noise_std_matches(self):
-        ds = data.double_pendulum_task(8000, 0.0, seed=19)
-        out = data.add_noise(ds, 0.5, seed=20)
-        measured = float(np.std(out.y - ds.y))
-        assert abs(measured - 0.5) <= 0.05 * 0.5
-        assert np.array_equal(out.x, ds.x)
-
-
 class TestSerialization:
     def test_roundtrip_bit_exact(self, tmp_path):
         cf = data.make_random_generator(4, seed=21, kind="rational")
@@ -180,6 +166,19 @@ class TestSerialization:
         lines[4] = json.dumps(sample).replace(repr(sample[field][0]), bad, 1)
         path.write_text("\n".join(lines))
         with pytest.raises(ValueError, match="line 5: non-finite"):
+            data.load_dataset(path)
+
+    def test_header_dimension_mismatch_names_file(self, tmp_path):
+        cf = data.make_random_generator(4, seed=25)
+        ds = data.synth_invariant_regression(cf, 8, 0.1, seed=26)
+        path = tmp_path / "ds.jsonl"
+        data.save_dataset(ds, path)
+        lines = path.read_text().split("\n")
+        header = json.loads(lines[0])
+        header["meta"]["n"] = 6
+        lines[0] = json.dumps(header)
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=r"ds\.jsonl: samples have 4 inputs .* n=6"):
             data.load_dataset(path)
 
     def test_missing_header_rejected(self, tmp_path):
