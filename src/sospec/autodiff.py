@@ -55,10 +55,14 @@ class Tape:
 
         Adjoints are reset first, so repeated calls are independent.
         Gradients are never updated in place, so one array may serve as the
-        adjoint of several values.
+        adjoint of several values. `loss` must be the output of one of this
+        tape's entries: values hold no reference to their tape, so a loss
+        from another tape would otherwise leave every gradient zero.
         """
         if not self._entries:
             raise RuntimeError("backward called before any forward op")
+        if not any(out is loss for out, _, _ in self._entries):
+            raise ValueError("loss is not the output of an entry of this tape")
         if loss.value.ndim != 0:
             raise ValueError("loss must be scalar")
 

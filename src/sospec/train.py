@@ -8,8 +8,13 @@ identifiable anyway. The checkpoint with the best validation prediction
 loss wins (earliest epoch on ties).
 """
 
+import ctypes
+import functools
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -28,6 +33,19 @@ VAL_FRAC = 0.1
 
 # Salts for the independent random streams of a run.
 _SALT_INIT, _SALT_SPLIT, _SALT_BATCH, _SALT_EVAL = 0, 1, 2, 3
+
+# Optimizer steps per restart below which `train(jobs=None)` keeps the
+# restarts in-process. A forked pool costs about 20 ms to start, plus
+# shipping the dataset and results; on two cores two restarts broke even
+# at about 75 steps each and ran 1.5 to 2 times as fast from 150 on. The
+# floor keeps a wide margin, and keeps tiny runs in-process.
+PARALLEL_MIN_STEPS = 1000
+
+# Restart pools fork. spawn and forkserver re-import the caller's main
+# script in each worker, so a script without a `__main__` guard would break
+# the first time train() picked a pool for it, and spawn costs about 0.5 s
+# a pool against 20 ms. Without fork, jobs=None stays in-process.
+_HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 @dataclass
@@ -104,6 +122,7 @@ class RunReport:
     best_epoch: int | None = None
     chosen_restart: int | None = None
     restart_val_losses: list | None = None
+    restart_failures: list | None = None
     wall_clock: float | None = None
     failure_reason: str | None = None
 
@@ -130,6 +149,7 @@ class RunReport:
             "bestEpoch": self.best_epoch,
             "chosenRestart": self.chosen_restart,
             "restartValLosses": self.restart_val_losses,
+            "restartFailures": self.restart_failures,
             "wallClock": self.wall_clock,
             "failureReason": self.failure_reason,
         }
@@ -370,15 +390,140 @@ def _train_single(dataset, cfg, loss_kind, restart):
     return best_params, best_val, best_epoch, curves
 
 
-def train(dataset, cfg):
+@functools.cache
+def _blas_thread_calls():
+    """(set, get) of the thread count of numpy's OpenBLAS, or None.
+
+    dlsym on the handle of numpy's core extension also searches the
+    libraries it links, so this finds the BLAS numpy actually uses, under
+    the symbol names of the bundled scipy-openblas (64-bit interface) or of
+    a plain OpenBLAS.
+    """
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as core
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            try:
+                setter = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                getter = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+            except AttributeError:
+                continue
+            setter.argtypes, getter.restype = [ctypes.c_int], ctypes.c_int
+            return setter, getter
+    return None
+
+
+def _blas_threads():
+    """The thread count numpy's OpenBLAS uses now, or None if not found."""
+    calls = _blas_thread_calls()
+    return None if calls is None else calls[1]()
+
+
+def one_blas_thread():
+    """Hold this process's BLAS to one thread, if its setting can be found.
+
+    The initializer of every worker process that trains: with its default
+    thread count each worker's BLAS starts as many threads as the machine
+    has cores, and the workers' threads then contend for them. On two
+    cores, two pendulum restarts took two to three times as long in such a
+    pool as one after the other.
+    """
+    calls = _blas_thread_calls()
+    if calls is not None:
+        calls[0](1)
+
+
+# The dataset a restart worker trains on, set once by the worker's
+# initializer: forked workers inherit it instead of unpickling a copy with
+# every restart, and the parent keeps no pickled copies. Two 32 000-row
+# pendulum restarts shipped as arguments left the parent 5 MB larger.
+_worker_dataset = None
+
+
+def _start_worker(dataset):
+    """Restart worker initializer: keep the run's dataset, one BLAS thread."""
+    global _worker_dataset
+    _worker_dataset = dataset
+    one_blas_thread()
+
+
+def _train_in_worker(cfg, loss_kind, restart):
+    return _train_single(_worker_dataset, cfg, loss_kind, restart)
+
+
+def _restart_pool(workers, dataset):
+    """The process pool restarts of `dataset` run in, its workers held to
+    one BLAS thread."""
+    context = multiprocessing.get_context("fork" if _HAVE_FORK else None)
+    return ProcessPoolExecutor(workers, context, initializer=_start_worker, initargs=(dataset,))
+
+
+def _restart_workers(dataset, cfg, jobs):
+    """How many processes `train(dataset, cfg, jobs)` runs restarts in;
+    1 means in-process."""
+    if jobs is not None:
+        if jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {jobs}")
+        return min(jobs, cfg.restarts)
+    steps = cfg.epochs * math.ceil(int(TRAIN_FRAC * len(dataset)) / cfg.batch_size)
+    if steps < PARALLEL_MIN_STEPS or not _HAVE_FORK or _blas_thread_calls() is None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # macOS and Windows have no affinity call
+        cpus = os.cpu_count() or 1
+    return min(cfg.restarts, cpus)
+
+
+def _outcome(fn, *args):
+    """`fn(*args)`, or the _RestartFailure it raised."""
+    try:
+        return fn(*args)
+    except _RestartFailure as failure:
+        return failure
+
+
+def _run_restarts(dataset, cfg, loss_kind, workers):
+    """Every restart's result tuple or _RestartFailure, in restart order."""
+    restarts = range(cfg.restarts)
+    if workers == 1:
+        return [_outcome(_train_single, dataset, cfg, loss_kind, r) for r in restarts]
+    with _restart_pool(workers, dataset) as pool:
+        futures = [pool.submit(_train_in_worker, cfg, loss_kind, r) for r in restarts]
+        return [_outcome(future.result) for future in futures]
+
+
+def train(dataset, cfg, jobs=None):
     """Fit the model and report metrics; see module docstring for protocol.
 
     Runs cfg.restarts independent optimizations (alternating alignment
     parity) and keeps the one with the best validation loss; within each,
     the best validation checkpoint wins. Returns (best parameters,
-    RunReport). A non-finite objective aborts with a failure report.
+    RunReport).
+
+    Each restart has its own seeded random streams and shares nothing with
+    the others, so restarts can run in worker processes; they are collected
+    in restart order and the result is byte for byte the one an in-process
+    run gives. `jobs` is the number of processes: an explicit value is used
+    as given (capped at cfg.restarts; 1 runs in-process), and None picks
+    min(cfg.restarts, usable CPUs) when each restart takes at least
+    PARALLEL_MIN_STEPS optimizer steps, else in-process. Each worker holds
+    its BLAS to one thread, since BLAS threads in several workers contend
+    for the same cores; if that setting cannot be found, None runs
+    in-process.
+
+    A restart whose objective goes non-finite is recorded in
+    restartFailures and left out of the choice; if every restart fails the
+    result is (None, report) with failure_reason set.
     """
     start = time.perf_counter()
+    workers = _restart_workers(dataset, cfg, jobs)
     loss_kind = resolve_loss(cfg, dataset.meta)
     report = RunReport(
         task=dataset.meta.task,
@@ -386,19 +531,19 @@ def train(dataset, cfg):
         config={**cfg.echo(), "resolvedLoss": loss_kind},
     )
 
-    outcomes = []
-    for restart in range(cfg.restarts):
-        try:
-            outcomes.append(_train_single(dataset, cfg, loss_kind, restart))
-        except _RestartFailure as failure:
-            report.failure_reason = str(failure)
-            report.wall_clock = time.perf_counter() - start
-            return None, report
+    outcomes = _run_restarts(dataset, cfg, loss_kind, workers)
+    failures = [str(o) if isinstance(o, _RestartFailure) else None for o in outcomes]
+    report.restart_failures = failures
+    report.restart_val_losses = [None if f else o[1] for o, f in zip(outcomes, failures)]
+    survivors = [i for i, f in enumerate(failures) if f is None]
+    if not survivors:
+        report.failure_reason = "; ".join(failures)
+        report.wall_clock = time.perf_counter() - start
+        return None, report
 
-    chosen = min(range(len(outcomes)), key=lambda i: outcomes[i][1])
+    chosen = min(survivors, key=lambda i: outcomes[i][1])
     best_params, _, best_epoch, curves = outcomes[chosen]
     report.chosen_restart = chosen
-    report.restart_val_losses = [o[1] for o in outcomes]
     report.best_epoch = best_epoch
     report.loss_curve = curves["loss"]
     report.penalty_curve = curves["penalty"]

@@ -212,6 +212,15 @@ class TestErrors:
         with pytest.raises(ValueError):
             t.backward(y)
 
+    def test_loss_from_another_tape_rejected(self):
+        first, second = Tape(), Tape()
+        loss = first.record(_square_stage, (first.param(2.0),))
+        x = second.param(3.0)
+        second.record(_square_stage, (x,))
+        with pytest.raises(ValueError, match="this tape"):
+            second.backward(loss)
+        assert x.grad is None
+
 
 class TestLifetime:
     def test_used_tape_freed_without_cyclic_collector(self):

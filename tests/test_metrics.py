@@ -1,3 +1,5 @@
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from sospec.lie import J2
 from sospec.metrics import accuracy, invariance_error
 from sospec.metrics import test_mse as mse_metric
 from sospec.sweep import SweepSpec, aggregate, run_one, run_sweep
-from sospec.train import TrainConfig
+from sospec.train import RunReport, TrainConfig, one_blas_thread
 
 
 def constant_model(n, value):
@@ -122,10 +124,10 @@ class TestSweep:
         spec = micro_spec(values=[0.2, 0.4], repeats=1)
         real_train = sweep_mod.train
 
-        def flaky(ds, cfg):
+        def flaky(ds, cfg, jobs=None):
             if ds.meta.noise_sigma == 0.4:
                 raise RuntimeError("injected failure")
-            return real_train(ds, cfg)
+            return real_train(ds, cfg, jobs=jobs)
 
         monkeypatch.setattr(sweep_mod, "train", flaky)
         docs, agg = run_sweep(spec)
@@ -136,6 +138,37 @@ class TestSweep:
         assert by_value[0.2]["nRuns"] == 1
         assert by_value[0.4]["nRuns"] == 0
         assert by_value[0.4]["meanCos"] is None
+
+    @pytest.mark.parametrize("jobs, train_jobs", [(1, None), (2, 1)])
+    def test_fanned_out_sweep_trains_in_process(self, monkeypatch, jobs, train_jobs):
+        initializers = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer=None):
+                initializers.append(initializer)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        seen = []
+
+        def record_jobs(ds, cfg, jobs=None):
+            seen.append(jobs)
+            return None, RunReport(task=ds.meta.task, seed=cfg.seed, config={})
+
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(sweep_mod, "train", record_jobs)
+        docs, _ = run_sweep(micro_spec(), jobs=jobs)
+        assert len(docs) == 2 and seen == [train_jobs, train_jobs]
+        assert initializers == ([] if jobs == 1 else [one_blas_thread])
 
     def test_default_axis_values(self):
         spec = SweepSpec(axis="noise", base=TrainConfig())

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from sospec.autodiff import Tape
 from sospec.data import Dataset, DatasetMeta, synth_invariant_regression
 from sospec.lattice import FrequencyVector
 from sospec.lie import CanonicalForm, assemble_generator, generator_cosine_similarity
+import sospec.train as train_mod
 from sospec.train import TrainConfig, _flat_gradient, discover, mu_schedule, split_indices, train
 
 
@@ -144,6 +147,95 @@ class TestTrainBehavior:
         _, report = train(ds, cfg)
         for knob in cfg.echo():
             assert knob in report.config
+
+
+def _without_wall_clock(report):
+    doc = report.to_json_dict()
+    del doc["wallClock"]
+    return doc
+
+
+class TestParallelRestarts:
+    @pytest.mark.parametrize("restarts", [2, 4])
+    def test_worker_pool_matches_in_process(self, tmp_path, restarts):
+        # with 4 restarts on 2 workers, each worker trains two restarts
+        cf = CanonicalForm(np.eye(4), np.array([1.0, -1.0]) / np.sqrt(2.0))
+        ds = synth_invariant_regression(cf, 600, 0.1, seed=12, bandwidth=1)
+        cfg = micro_config(seed=5, restarts=restarts)
+        runs = {jobs: train(ds, cfg, jobs=jobs) for jobs in (1, 2)}
+        assert _without_wall_clock(runs[2][1]) == _without_wall_clock(runs[1][1])
+        assert runs[1][1].restart_failures == [None] * restarts
+        for jobs, (params, report) in runs.items():
+            model.save_checkpoint(params, tmp_path / f"{jobs}.json", config=report.config)
+        assert (tmp_path / "2.json").read_bytes() == (tmp_path / "1.json").read_bytes()
+
+    def test_workers_hold_blas_to_one_thread(self):
+        calls = train_mod._blas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy's BLAS exposes no OpenBLAS thread setter")
+        before = calls[1]()
+        calls[0](2)  # a forked worker would otherwise inherit this count
+        try:
+            with train_mod._restart_pool(2, None) as pool:
+                assert pool.submit(train_mod._blas_threads).result() == 1
+        finally:
+            calls[0](before)
+
+    def test_jobs_below_one_rejected(self):
+        cf = CanonicalForm(np.eye(4), np.array([1.0, -1.0]) / np.sqrt(2.0))
+        ds = synth_invariant_regression(cf, 200, 0.1, seed=13, bandwidth=1)
+        with pytest.raises(ValueError, match="jobs"):
+            train(ds, micro_config(), jobs=0)
+
+    def test_step_floor_decides_the_default(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was created")
+
+        monkeypatch.setattr(train_mod, "ProcessPoolExecutor", no_pool)
+        cf = CanonicalForm(np.eye(4), np.array([1.0, -1.0]) / np.sqrt(2.0))
+        ds = synth_invariant_regression(cf, 600, 0.1, seed=14, bandwidth=1)
+        params, report = train(ds, micro_config(), jobs=None)  # 6 x 4 steps a restart
+        assert params is not None and report.failure_reason is None
+
+        meta = DatasetMeta(task="zeros", n=4, out_dim=1, n_samples=4000, noise_sigma=0.0, seed=0)
+        big = Dataset(np.zeros((4000, 4)), np.zeros((4000, 1)), meta)
+        cfg = TrainConfig()  # 40 epochs x 25 batches = PARALLEL_MIN_STEPS
+        assert cfg.epochs * 25 == train_mod.PARALLEL_MIN_STEPS
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        can_pool = train_mod._HAVE_FORK and train_mod._blas_thread_calls() is not None
+        expected = min(cfg.restarts, cpus) if can_pool else 1
+        assert train_mod._restart_workers(big, cfg, None) == expected
+        assert train_mod._restart_workers(big, TrainConfig(epochs=39, warmup_epochs=9), None) == 1
+
+    def test_diverging_restart_is_recorded_and_skipped(self, monkeypatch):
+        real_single = train_mod._train_single
+
+        def restart_one_diverges(dataset, cfg, loss_kind, restart):
+            if restart == 1:
+                raise train_mod._RestartFailure("non-finite objective at restart 1")
+            return real_single(dataset, cfg, loss_kind, restart)
+
+        monkeypatch.setattr(train_mod, "_train_single", restart_one_diverges)
+        cf = CanonicalForm(np.eye(4), np.array([1.0, -1.0]) / np.sqrt(2.0))
+        ds = synth_invariant_regression(cf, 600, 0.1, seed=15, bandwidth=1)
+        params, report = train(ds, micro_config(), jobs=1)
+        assert params is not None and report.failure_reason is None
+        assert report.restart_failures == [None, "non-finite objective at restart 1"]
+        assert report.restart_val_losses[0] is not None and report.restart_val_losses[1] is None
+        assert report.chosen_restart == 0 and report.test_mse is not None
+
+    def test_diverging_restart_in_a_worker_is_recorded(self):
+        # restart 0 of the NaN dataset fails inside a worker process
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((500, 4))
+        y = rng.standard_normal((500, 1))
+        y[3, 0] = np.nan
+        meta = DatasetMeta(task="broken", n=4, out_dim=1, n_samples=500, noise_sigma=0.0, seed=31)
+        params, report = train(Dataset(x, y, meta), micro_config(), jobs=2)
+        assert params is None
+        assert all(f.startswith("non-finite objective") for f in report.restart_failures)
+        assert report.restart_val_losses == [None, None]
+        assert report.failure_reason == "; ".join(report.restart_failures)
 
 
 class TestFlatParameters:
