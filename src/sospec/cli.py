@@ -189,7 +189,7 @@ def cmd_sweep(args):
         if args.values
         else [],
         repeats=args.repeats,
-        task=args.task if args.task != "synth-cls" else "synth",
+        task=args.task,
         n=args.n if args.n is not None else 4,
         rates=tuple(_parse_rates(args.rates)) if args.rates else (1, -1),
         n_samples=args.n_samples,

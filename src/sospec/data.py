@@ -312,9 +312,9 @@ def save_dataset(ds, path):
 
 
 def load_dataset(path):
-    """Read a JSONL dataset; malformed lines, non-finite values and samples
-    that do not match the header's dimensions raise ValueError naming the
-    file (and the line, where there is one)."""
+    """Read a JSONL dataset; malformed lines, a header missing a key,
+    non-finite values and samples that do not match the header's dimensions
+    raise ValueError naming the file (and the line, where there is one)."""
     xs, ys, linenos = [], [], []
     meta = None
     with open(path, encoding="utf-8") as fh:
@@ -329,7 +329,10 @@ def load_dataset(path):
             if lineno == 1:
                 if "meta" not in obj:
                     raise ValueError(f"{path}: line 1: missing meta header")
-                meta = DatasetMeta.from_json_dict(obj["meta"])
+                try:
+                    meta = DatasetMeta.from_json_dict(obj["meta"])
+                except KeyError as exc:
+                    raise ValueError(f"{path}: line 1: meta header has no {exc}") from exc
             else:
                 if "x" not in obj or "y" not in obj:
                     raise ValueError(f"{path}: line {lineno}: sample needs x and y")

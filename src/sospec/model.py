@@ -389,17 +389,21 @@ def save_checkpoint(params, path, config=None):
 
 
 def load_checkpoint(path):
+    """(params, saved config) from a checkpoint file; a missing key raises
+    ValueError naming the file and the key."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    freqs = [FrequencyVector(tuple(m)) for m in doc["frequencies"]]
-    params = GeneratorParams(
-        n=doc["n"],
-        bandwidth=doc["bandwidth"],
-        freqs=freqs,
-        skew=np.asarray(doc["skewParams"]),
-        rates=np.asarray(doc["lambda"]),
-        layers=[(np.asarray(l["weight"]), np.asarray(l["bias"])) for l in doc["layers"]],
-        loss_kind=doc.get("lossKind", "squared-error"),
-        reflected=doc.get("reflected", False),
-    )
+    try:
+        params = GeneratorParams(
+            n=doc["n"],
+            bandwidth=doc["bandwidth"],
+            freqs=[FrequencyVector(tuple(m)) for m in doc["frequencies"]],
+            skew=np.asarray(doc["skewParams"]),
+            rates=np.asarray(doc["lambda"]),
+            layers=[(np.asarray(l["weight"]), np.asarray(l["bias"])) for l in doc["layers"]],
+            loss_kind=doc.get("lossKind", "squared-error"),
+            reflected=doc.get("reflected", False),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint has no {exc}") from exc
     return params, doc.get("config", {})

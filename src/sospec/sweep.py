@@ -2,14 +2,13 @@
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import double_pendulum_task, make_random_generator, synth_invariant_regression
 from .lie import CanonicalForm, retract_orthogonal
-from .train import TrainConfig, one_blas_thread, train
+from .train import TrainConfig, train, worker_pool
 
 NOISE_VALUES = [round(0.1 * k, 1) for k in range(1, 11)]
 SAMPLE_VALUES = [8000, 16000, 32000, 64000]
@@ -61,11 +60,8 @@ def _make_dataset(spec, value, seed):
     return synth_invariant_regression(cf, n_samples, sigma, seed, spec.base.bandwidth)
 
 
-def run_one(spec, value_index, repeat, train_jobs=None):
-    """One seeded run of the sweep grid; returns the report JSON dict.
-
-    `train_jobs` is passed to `train` as its `jobs`.
-    """
+def run_one(spec, value_index, repeat):
+    """One seeded run of the sweep grid; returns the report JSON dict."""
     value = spec.values[value_index]
     seed = int(
         np.random.SeedSequence([spec.base.seed, value_index, repeat]).generate_state(1)[0]
@@ -73,7 +69,7 @@ def run_one(spec, value_index, repeat, train_jobs=None):
     )
     ds = _make_dataset(spec, value, seed)
     cfg = replace(spec.base, seed=seed)
-    _, report = train(ds, cfg, jobs=train_jobs)
+    _, report = train(ds, cfg)
     doc = report.to_json_dict()
     doc["sweep"] = {"axis": spec.axis, "value": value, "repeat": repeat}
     return doc
@@ -123,16 +119,16 @@ def aggregate(spec, run_docs):
 def run_sweep(spec, jobs=1, progress=None):
     """All runs of the grid; returns (per-run report dicts, aggregate dict).
 
-    With jobs > 1 the runs go to that many worker processes, each held to
-    one BLAS thread and training its restarts in-process, so pools do not
-    nest; with jobs=1 the runs go one after another and each `train` picks
-    its own worker count.
+    With jobs > 1 the runs go to a `worker_pool` of that many processes,
+    each held to one BLAS thread; `train` sees it is in a pool worker and
+    trains its restarts in-process, so pools do not nest. With jobs=1 the
+    runs go one after another and each `train` picks its own worker count.
     """
     cells = [(i, rep) for i in range(len(spec.values)) for rep in range(spec.repeats)]
     docs = []
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=one_blas_thread) as pool:
-            futures = [pool.submit(run_one, spec, i, rep, 1) for i, rep in cells]
+        with worker_pool(jobs) as pool:
+            futures = [pool.submit(run_one, spec, i, rep) for i, rep in cells]
             for cell, fut in zip(cells, futures):
                 docs.append(_collect(spec, cell, fut.result, progress))
     else:

@@ -34,17 +34,18 @@ VAL_FRAC = 0.1
 # Salts for the independent random streams of a run.
 _SALT_INIT, _SALT_SPLIT, _SALT_BATCH, _SALT_EVAL = 0, 1, 2, 3
 
-# Optimizer steps per restart below which `train(jobs=None)` keeps the
+# Optimizer steps per restart below which `train` keeps the
 # restarts in-process. A forked pool costs about 20 ms to start, plus
 # shipping the dataset and results; on two cores two restarts broke even
 # at about 75 steps each and ran 1.5 to 2 times as fast from 150 on. The
 # floor keeps a wide margin, and keeps tiny runs in-process.
 PARALLEL_MIN_STEPS = 1000
 
-# Restart pools fork. spawn and forkserver re-import the caller's main
+# Worker pools fork. spawn and forkserver re-import the caller's main
 # script in each worker, so a script without a `__main__` guard would break
 # the first time train() picked a pool for it, and spawn costs about 0.5 s
-# a pool against 20 ms. Without fork, jobs=None stays in-process.
+# a pool against 20 ms. Without fork, train() stays in-process and a
+# fanned-out sweep uses the platform's default start method.
 _HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -419,26 +420,6 @@ def _blas_thread_calls():
     return None
 
 
-def _blas_threads():
-    """The thread count numpy's OpenBLAS uses now, or None if not found."""
-    calls = _blas_thread_calls()
-    return None if calls is None else calls[1]()
-
-
-def one_blas_thread():
-    """Hold this process's BLAS to one thread, if its setting can be found.
-
-    The initializer of every worker process that trains: with its default
-    thread count each worker's BLAS starts as many threads as the machine
-    has cores, and the workers' threads then contend for them. On two
-    cores, two pendulum restarts took two to three times as long in such a
-    pool as one after the other.
-    """
-    calls = _blas_thread_calls()
-    if calls is not None:
-        calls[0](1)
-
-
 # The dataset a restart worker trains on, set once by the worker's
 # initializer: forked workers inherit it instead of unpickling a copy with
 # every restart, and the parent keeps no pickled copies. Two 32 000-row
@@ -447,32 +428,46 @@ _worker_dataset = None
 
 
 def _start_worker(dataset):
-    """Restart worker initializer: keep the run's dataset, one BLAS thread."""
+    """Initializer of every `worker_pool` worker: keep `dataset` for
+    `_train_in_worker` and hold this process's BLAS to one thread, if its
+    setting can be found.
+
+    With its default thread count each worker's BLAS starts as many threads
+    as the machine has cores, and the workers' threads then contend for
+    them. On two cores, two pendulum restarts took two to three times as
+    long in such a pool as one after the other.
+    """
     global _worker_dataset
     _worker_dataset = dataset
-    one_blas_thread()
+    calls = _blas_thread_calls()
+    if calls is not None:
+        calls[0](1)
 
 
 def _train_in_worker(cfg, loss_kind, restart):
     return _train_single(_worker_dataset, cfg, loss_kind, restart)
 
 
-def _restart_pool(workers, dataset):
-    """The process pool restarts of `dataset` run in, its workers held to
-    one BLAS thread."""
+def worker_pool(workers, dataset=None):
+    """A process pool of `workers` workers, each held to one BLAS thread
+    and keeping `dataset` for the restarts it trains. The restarts of
+    `train` and the runs of a fanned-out sweep both run in one."""
     context = multiprocessing.get_context("fork" if _HAVE_FORK else None)
     return ProcessPoolExecutor(workers, context, initializer=_start_worker, initargs=(dataset,))
 
 
-def _restart_workers(dataset, cfg, jobs):
-    """How many processes `train(dataset, cfg, jobs)` runs restarts in;
-    1 means in-process."""
-    if jobs is not None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {jobs}")
-        return min(jobs, cfg.restarts)
+def _restart_workers(dataset, cfg):
+    """How many processes `train(dataset, cfg)` runs restarts in; 1 means
+    in-process.
+
+    In-process when a restart takes fewer than PARALLEL_MIN_STEPS optimizer
+    steps, when this process is itself a pool worker (pools do not nest),
+    when the platform cannot fork or when no BLAS thread setter is found;
+    otherwise one worker per restart, up to the usable CPUs.
+    """
     steps = cfg.epochs * math.ceil(int(TRAIN_FRAC * len(dataset)) / cfg.batch_size)
-    if steps < PARALLEL_MIN_STEPS or not _HAVE_FORK or _blas_thread_calls() is None:
+    in_worker = multiprocessing.parent_process() is not None
+    if steps < PARALLEL_MIN_STEPS or in_worker or not _HAVE_FORK or _blas_thread_calls() is None:
         return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -494,12 +489,12 @@ def _run_restarts(dataset, cfg, loss_kind, workers):
     restarts = range(cfg.restarts)
     if workers == 1:
         return [_outcome(_train_single, dataset, cfg, loss_kind, r) for r in restarts]
-    with _restart_pool(workers, dataset) as pool:
+    with worker_pool(workers, dataset) as pool:
         futures = [pool.submit(_train_in_worker, cfg, loss_kind, r) for r in restarts]
         return [_outcome(future.result) for future in futures]
 
 
-def train(dataset, cfg, jobs=None):
+def train(dataset, cfg):
     """Fit the model and report metrics; see module docstring for protocol.
 
     Runs cfg.restarts independent optimizations (alternating alignment
@@ -510,20 +505,18 @@ def train(dataset, cfg, jobs=None):
     Each restart has its own seeded random streams and shares nothing with
     the others, so restarts can run in worker processes; they are collected
     in restart order and the result is byte for byte the one an in-process
-    run gives. `jobs` is the number of processes: an explicit value is used
-    as given (capped at cfg.restarts; 1 runs in-process), and None picks
-    min(cfg.restarts, usable CPUs) when each restart takes at least
-    PARALLEL_MIN_STEPS optimizer steps, else in-process. Each worker holds
-    its BLAS to one thread, since BLAS threads in several workers contend
-    for the same cores; if that setting cannot be found, None runs
-    in-process.
+    run gives. They run in min(cfg.restarts, usable CPUs) forked workers,
+    each held to one BLAS thread, when each restart takes at least
+    PARALLEL_MIN_STEPS optimizer steps; they run in-process in a pool
+    worker (a sweep's, say), where pools would nest, and where the platform
+    cannot fork or the BLAS thread setting cannot be found.
 
     A restart whose objective goes non-finite is recorded in
     restartFailures and left out of the choice; if every restart fails the
     result is (None, report) with failure_reason set.
     """
     start = time.perf_counter()
-    workers = _restart_workers(dataset, cfg, jobs)
+    workers = _restart_workers(dataset, cfg)
     loss_kind = resolve_loss(cfg, dataset.meta)
     report = RunReport(
         task=dataset.meta.task,

@@ -143,6 +143,33 @@ class TestTrainEval:
             assert found in capsys.readouterr().err
             assert not (tmp_path / "eval.json").exists()
 
+    def test_header_without_n_exits_one(self, tmp_path, dataset_file, capsys):
+        lines = dataset_file.read_text().split("\n")
+        header = json.loads(lines[0])
+        del header["meta"]["n"]
+        lines[0] = json.dumps(header)
+        bad = tmp_path / "no_n.jsonl"
+        bad.write_text("\n".join(lines))
+        rc = run_cli("train", "--data", str(bad), "--epochs", "2", "--warmup-epochs", "1",
+                     "--out", str(tmp_path / "run"))
+        assert rc == 1
+        assert f"{bad}: line 1: meta header has no 'n'" in capsys.readouterr().err
+
+    def test_checkpoint_without_frequencies_exits_one(self, tmp_path, dataset_file, capsys):
+        rc = run_cli("train", "--data", str(dataset_file), "--epochs", "2",
+                     "--warmup-epochs", "1", "--bandwidth", "1", "--restarts", "1",
+                     "--out", str(tmp_path / "run"))
+        assert rc == 0
+        doc = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
+        del doc["frequencies"]
+        bad = tmp_path / "no_freqs.json"
+        bad.write_text(json.dumps(doc))
+        rc = run_cli("eval", "--checkpoint", str(bad), "--data", str(dataset_file),
+                     "--out", str(tmp_path / "eval.json"))
+        assert rc == 1
+        assert f"{bad}: checkpoint has no 'frequencies'" in capsys.readouterr().err
+        assert not (tmp_path / "eval.json").exists()
+
     def test_bad_flag_exits_one(self, tmp_path):
         rc = run_cli("train", "--data", "x", "--out", "y", "--no-such-flag")
         assert rc == 1

@@ -1,5 +1,3 @@
-from concurrent.futures import Future
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,7 @@ from sospec.lie import J2
 from sospec.metrics import accuracy, invariance_error
 from sospec.metrics import test_mse as mse_metric
 from sospec.sweep import SweepSpec, aggregate, run_one, run_sweep
-from sospec.train import RunReport, TrainConfig, one_blas_thread
+from sospec.train import TrainConfig
 
 
 def constant_model(n, value):
@@ -124,10 +122,10 @@ class TestSweep:
         spec = micro_spec(values=[0.2, 0.4], repeats=1)
         real_train = sweep_mod.train
 
-        def flaky(ds, cfg, jobs=None):
+        def flaky(ds, cfg):
             if ds.meta.noise_sigma == 0.4:
                 raise RuntimeError("injected failure")
-            return real_train(ds, cfg, jobs=jobs)
+            return real_train(ds, cfg)
 
         monkeypatch.setattr(sweep_mod, "train", flaky)
         docs, agg = run_sweep(spec)
@@ -139,36 +137,14 @@ class TestSweep:
         assert by_value[0.4]["nRuns"] == 0
         assert by_value[0.4]["meanCos"] is None
 
-    @pytest.mark.parametrize("jobs, train_jobs", [(1, None), (2, 1)])
-    def test_fanned_out_sweep_trains_in_process(self, monkeypatch, jobs, train_jobs):
-        initializers = []
-
-        class InlinePool:
-            def __init__(self, max_workers, initializer=None):
-                initializers.append(initializer)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        seen = []
-
-        def record_jobs(ds, cfg, jobs=None):
-            seen.append(jobs)
-            return None, RunReport(task=ds.meta.task, seed=cfg.seed, config={})
-
-        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(sweep_mod, "train", record_jobs)
-        docs, _ = run_sweep(micro_spec(), jobs=jobs)
-        assert len(docs) == 2 and seen == [train_jobs, train_jobs]
-        assert initializers == ([] if jobs == 1 else [one_blas_thread])
+    def test_fanned_out_sweep_matches_in_process(self):
+        spec = micro_spec(values=[0.2, 0.4])
+        runs = {jobs: run_sweep(spec, jobs=jobs) for jobs in (1, 2)}
+        for docs, _ in runs.values():
+            for doc in docs:
+                assert doc.pop("wallClock") is not None
+        assert runs[2] == runs[1]
+        assert len(runs[1][0]) == 4 and not any(d["failureReason"] for d in runs[1][0])
 
     def test_default_axis_values(self):
         spec = SweepSpec(axis="noise", base=TrainConfig())

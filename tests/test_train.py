@@ -155,18 +155,44 @@ def _without_wall_clock(report):
     return doc
 
 
+def _blas_threads():
+    """The thread count numpy's OpenBLAS uses in this process."""
+    return train_mod._blas_thread_calls()[1]()
+
+
+def _restart_dataset(n_samples, seed):
+    cf = CanonicalForm(np.eye(4), np.array([1.0, -1.0]) / np.sqrt(2.0))
+    return synth_invariant_regression(cf, n_samples, 0.1, seed=seed, bandwidth=1)
+
+
+def _zeros(n_samples):
+    meta = DatasetMeta(task="zeros", n=4, out_dim=1, n_samples=n_samples, noise_sigma=0.0, seed=0)
+    return Dataset(np.zeros((n_samples, 4)), np.zeros((n_samples, 1)), meta)
+
+
+def _parent_workers(cfg):
+    """The worker count a run long enough for a pool gets in this process."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    can_pool = train_mod._HAVE_FORK and train_mod._blas_thread_calls() is not None
+    return min(cfg.restarts, cpus) if can_pool else 1
+
+
+def _train_with_workers(monkeypatch, workers, ds, cfg):
+    monkeypatch.setattr(train_mod, "_restart_workers", lambda dataset, cfg: workers)
+    return train(ds, cfg)
+
+
 class TestParallelRestarts:
     @pytest.mark.parametrize("restarts", [2, 4])
-    def test_worker_pool_matches_in_process(self, tmp_path, restarts):
+    def test_worker_pool_matches_in_process(self, tmp_path, monkeypatch, restarts):
         # with 4 restarts on 2 workers, each worker trains two restarts
-        cf = CanonicalForm(np.eye(4), np.array([1.0, -1.0]) / np.sqrt(2.0))
-        ds = synth_invariant_regression(cf, 600, 0.1, seed=12, bandwidth=1)
+        ds = _restart_dataset(600, seed=12)
         cfg = micro_config(seed=5, restarts=restarts)
-        runs = {jobs: train(ds, cfg, jobs=jobs) for jobs in (1, 2)}
+        runs = {w: _train_with_workers(monkeypatch, w, ds, cfg) for w in (1, 2)}
         assert _without_wall_clock(runs[2][1]) == _without_wall_clock(runs[1][1])
         assert runs[1][1].restart_failures == [None] * restarts
-        for jobs, (params, report) in runs.items():
-            model.save_checkpoint(params, tmp_path / f"{jobs}.json", config=report.config)
+        for workers, (params, report) in runs.items():
+            model.save_checkpoint(params, tmp_path / f"{workers}.json", config=report.config)
         assert (tmp_path / "2.json").read_bytes() == (tmp_path / "1.json").read_bytes()
 
     def test_workers_hold_blas_to_one_thread(self):
@@ -176,36 +202,29 @@ class TestParallelRestarts:
         before = calls[1]()
         calls[0](2)  # a forked worker would otherwise inherit this count
         try:
-            with train_mod._restart_pool(2, None) as pool:
-                assert pool.submit(train_mod._blas_threads).result() == 1
+            with train_mod.worker_pool(2) as pool:
+                assert pool.submit(_blas_threads).result() == 1
         finally:
             calls[0](before)
-
-    def test_jobs_below_one_rejected(self):
-        cf = CanonicalForm(np.eye(4), np.array([1.0, -1.0]) / np.sqrt(2.0))
-        ds = synth_invariant_regression(cf, 200, 0.1, seed=13, bandwidth=1)
-        with pytest.raises(ValueError, match="jobs"):
-            train(ds, micro_config(), jobs=0)
 
     def test_step_floor_decides_the_default(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was created")
 
         monkeypatch.setattr(train_mod, "ProcessPoolExecutor", no_pool)
-        cf = CanonicalForm(np.eye(4), np.array([1.0, -1.0]) / np.sqrt(2.0))
-        ds = synth_invariant_regression(cf, 600, 0.1, seed=14, bandwidth=1)
-        params, report = train(ds, micro_config(), jobs=None)  # 6 x 4 steps a restart
+        params, report = train(_restart_dataset(600, seed=14), micro_config())  # 6 x 4 steps
         assert params is not None and report.failure_reason is None
 
-        meta = DatasetMeta(task="zeros", n=4, out_dim=1, n_samples=4000, noise_sigma=0.0, seed=0)
-        big = Dataset(np.zeros((4000, 4)), np.zeros((4000, 1)), meta)
-        cfg = TrainConfig()  # 40 epochs x 25 batches = PARALLEL_MIN_STEPS
+        big, cfg = _zeros(4000), TrainConfig()  # 40 epochs x 25 batches = PARALLEL_MIN_STEPS
         assert cfg.epochs * 25 == train_mod.PARALLEL_MIN_STEPS
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        can_pool = train_mod._HAVE_FORK and train_mod._blas_thread_calls() is not None
-        expected = min(cfg.restarts, cpus) if can_pool else 1
-        assert train_mod._restart_workers(big, cfg, None) == expected
-        assert train_mod._restart_workers(big, TrainConfig(epochs=39, warmup_epochs=9), None) == 1
+        assert train_mod._restart_workers(big, cfg) == _parent_workers(cfg)
+        assert train_mod._restart_workers(big, TrainConfig(epochs=39, warmup_epochs=9)) == 1
+
+    def test_pool_worker_trains_in_process(self):
+        big, cfg = _zeros(4000), TrainConfig()
+        assert train_mod._restart_workers(big, cfg) == _parent_workers(cfg)
+        with train_mod.worker_pool(1) as pool:
+            assert pool.submit(train_mod._restart_workers, big, cfg).result() == 1
 
     def test_diverging_restart_is_recorded_and_skipped(self, monkeypatch):
         real_single = train_mod._train_single
@@ -216,22 +235,21 @@ class TestParallelRestarts:
             return real_single(dataset, cfg, loss_kind, restart)
 
         monkeypatch.setattr(train_mod, "_train_single", restart_one_diverges)
-        cf = CanonicalForm(np.eye(4), np.array([1.0, -1.0]) / np.sqrt(2.0))
-        ds = synth_invariant_regression(cf, 600, 0.1, seed=15, bandwidth=1)
-        params, report = train(ds, micro_config(), jobs=1)
+        ds = _restart_dataset(600, seed=15)
+        params, report = _train_with_workers(monkeypatch, 1, ds, micro_config())
         assert params is not None and report.failure_reason is None
         assert report.restart_failures == [None, "non-finite objective at restart 1"]
         assert report.restart_val_losses[0] is not None and report.restart_val_losses[1] is None
         assert report.chosen_restart == 0 and report.test_mse is not None
 
-    def test_diverging_restart_in_a_worker_is_recorded(self):
+    def test_diverging_restart_in_a_worker_is_recorded(self, monkeypatch):
         # restart 0 of the NaN dataset fails inside a worker process
         rng = np.random.default_rng(31)
         x = rng.standard_normal((500, 4))
         y = rng.standard_normal((500, 1))
         y[3, 0] = np.nan
         meta = DatasetMeta(task="broken", n=4, out_dim=1, n_samples=500, noise_sigma=0.0, seed=31)
-        params, report = train(Dataset(x, y, meta), micro_config(), jobs=2)
+        params, report = _train_with_workers(monkeypatch, 2, Dataset(x, y, meta), micro_config())
         assert params is None
         assert all(f.startswith("non-finite objective") for f in report.restart_failures)
         assert report.restart_val_losses == [None, None]
