@@ -1,14 +1,22 @@
+import os
+
 import numpy as np
 import pytest
 
 import sospec.model as model
 import sospec.sweep as sweep_mod
+import sospec.train as train_mod
 from sospec.data import Dataset, DatasetMeta
 from sospec.lie import J2
 from sospec.metrics import accuracy, invariance_error
 from sospec.metrics import test_mse as mse_metric
 from sospec.sweep import SweepSpec, aggregate, run_one, run_sweep
-from sospec.train import TrainConfig
+from sospec.train import RunReport, TrainConfig
+
+
+def _zeros(n_samples):
+    meta = DatasetMeta(task="zeros", n=4, out_dim=1, n_samples=n_samples, noise_sigma=0.0, seed=0)
+    return Dataset(np.zeros((n_samples, 4)), np.zeros((n_samples, 1)), meta)
 
 
 def constant_model(n, value):
@@ -145,6 +153,25 @@ class TestSweep:
                 assert doc.pop("wallClock") is not None
         assert runs[2] == runs[1]
         assert len(runs[1][0]) == 4 and not any(d["failureReason"] for d in runs[1][0])
+
+    @pytest.mark.parametrize("jobs, train_workers", [(1, None), (2, 1)])
+    def test_fanned_out_sweep_trains_in_process(self, monkeypatch, jobs, train_workers):
+        # train_workers None: each run's train picks its own worker count
+        big, cfg = _zeros(4000), TrainConfig()
+        parent = os.getpid()
+
+        def record_workers(ds, cfg):
+            config = {
+                "workers": train_mod._restart_workers(big, TrainConfig()),
+                "inWorker": os.getpid() != parent,
+            }
+            return None, RunReport(task=ds.meta.task, seed=cfg.seed, config=config)
+
+        monkeypatch.setattr(sweep_mod, "train", record_workers)
+        docs, _ = run_sweep(micro_spec(), jobs=jobs)
+        expected = train_mod._restart_workers(big, cfg) if train_workers is None else train_workers
+        assert len(docs) == 2 and not any(d.get("failureReason") for d in docs)
+        assert [d["config"] for d in docs] == [{"workers": expected, "inWorker": jobs > 1}] * 2
 
     def test_default_axis_values(self):
         spec = SweepSpec(axis="noise", base=TrainConfig())
