@@ -1,13 +1,14 @@
-"""Reverse-mode differentiation over numpy arrays, one entry per stage.
+"""Reverse-mode differentiation over numpy arrays, one entry per closed-form
+function.
 
 A `Tape` records entries append-only as they execute (define-by-run);
 `backward` replays them in strict reverse order, accumulating adjoints.
 Values are float64 numpy arrays (scalars are 0-d). Leaves come from
-`param`; every other value is the output of an entry. An entry is a whole
-closed-form stage of the model: `record` runs a function that returns
-(value, vjp), where vjp maps the output's adjoint to one adjoint per input.
-There are no arithmetic ops: even the sum of an objective's terms is a
-stage.
+`param`; every other value is the output of an entry. `record` runs a
+function that returns (value, vjp), where vjp maps the output's adjoint to
+one adjoint per input. There are no arithmetic ops. The model records its
+whole training objective as one entry (model.build_objective), so a step's
+tape holds one entry over the parameter leaves.
 
 Values hold no reference to their tape, so a finished tape and every array
 its stages keep are freed as soon as the caller drops it. Graphs are

@@ -53,7 +53,10 @@ def _parse_config_file(path):
         raw = raw.strip()
         if key not in _CONFIG_FIELDS:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = raw
+        try:
+            values[key] = _CONFIG_FIELDS[key](raw)
+        except ValueError as exc:
+            raise CliError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
@@ -61,8 +64,7 @@ def build_train_config(args):
     """Defaults < config file < explicit flags, all validated by TrainConfig."""
     values = {}
     if getattr(args, "config", None):
-        for key, raw in _parse_config_file(args.config).items():
-            values[key] = _CONFIG_FIELDS[key](raw)
+        values.update(_parse_config_file(args.config))
     for key in _CONFIG_FIELDS:
         flag = getattr(args, key, None)
         if flag is not None:

@@ -7,7 +7,9 @@ under the generated subgroup by construction; every dataset is audited for
 this at generation time before it is returned.
 
 Files are JSON lines: one meta header object, then one {"x": .., "y": ..}
-object per sample. Floats round-trip exactly.
+object per sample. Floats round-trip exactly. Loading allocates arrays of
+the header's shape and parses each sample line into its row, so memory
+stays at the arrays' size whatever the file's length.
 """
 
 import json
@@ -305,6 +307,10 @@ def double_pendulum_task(n_samples, noise_sigma, seed):
 
 
 def save_dataset(ds, path):
+    """Write `ds` as JSON lines; non-finite values raise ValueError before
+    anything is written, since load_dataset would reject the file."""
+    if not (np.isfinite(ds.x).all() and np.isfinite(ds.y).all()):
+        raise ValueError(f"{path}: non-finite value in x or y")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"meta": ds.meta.to_json_dict()}) + "\n")
         for i in range(len(ds)):
@@ -312,41 +318,70 @@ def save_dataset(ds, path):
 
 
 def load_dataset(path):
-    """Read a JSONL dataset; malformed lines, a header missing a key,
-    non-finite values and samples that do not match the header's dimensions
-    raise ValueError naming the file (and the line, where there is one)."""
-    xs, ys, linenos = [], [], []
-    meta = None
+    """Read a JSONL dataset straight into arrays of the header's shape.
+
+    Each sample line is parsed and written into its row in place, so no
+    list of rows is kept. Malformed lines, a header missing a key, rows
+    whose width or count does not match the header, and non-finite values
+    raise ValueError naming the file (and the line, where there is one).
+    """
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+        header = fh.readline()
+        if not header:
+            raise ValueError(f"{path}: empty dataset file")
+        obj = _parse_line(path, 1, header)
+        if not isinstance(obj, dict) or "meta" not in obj:
+            raise ValueError(f"{path}: line 1: missing meta header")
+        try:
+            meta = DatasetMeta.from_json_dict(obj["meta"])
+        except KeyError as exc:
+            raise ValueError(f"{path}: line 1: meta header has no {exc}") from exc
+        n, out_dim, count = meta.n, meta.out_dim, meta.n_samples
+        for key, value in (("n", n), ("outDim", out_dim), ("nSamples", count)):
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{path}: line 1: meta header {key} is not a count: {value!r}")
+        x = np.empty((count, n))
+        y = np.empty((count, out_dim))
+        linenos = np.empty(count, dtype=np.int64)
+        row = 0
+        for lineno, line in enumerate(fh, start=2):
+            if line.isspace():
                 continue
+            if row == count:
+                rows = count + 1 + sum(1 for rest in fh if not rest.isspace())
+                raise ValueError(f"{path}: {rows} samples, meta header declares nSamples={count}")
+            obj = _parse_line(path, lineno, line)
+            if not isinstance(obj, dict) or "x" not in obj or "y" not in obj:
+                raise ValueError(f"{path}: line {lineno}: sample needs x and y")
+            xs, ys = obj["x"], obj["y"]
+            if not isinstance(xs, list) or not isinstance(ys, list):
+                raise ValueError(f"{path}: line {lineno}: x and y must be lists")
+            if len(xs) != n or len(ys) != out_dim:
+                raise ValueError(
+                    f"{path}: samples have {len(xs)} inputs and {len(ys)} outputs, "
+                    f"meta declares n={n} and out_dim={out_dim} (line {lineno})"
+                )
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
-            if lineno == 1:
-                if "meta" not in obj:
-                    raise ValueError(f"{path}: line 1: missing meta header")
-                try:
-                    meta = DatasetMeta.from_json_dict(obj["meta"])
-                except KeyError as exc:
-                    raise ValueError(f"{path}: line 1: meta header has no {exc}") from exc
-            else:
-                if "x" not in obj or "y" not in obj:
-                    raise ValueError(f"{path}: line {lineno}: sample needs x and y")
-                xs.append(obj["x"])
-                ys.append(obj["y"])
-                linenos.append(lineno)
-    if meta is None:
-        raise ValueError(f"{path}: empty dataset file")
+                x[row] = xs
+                y[row] = ys
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+            linenos[row] = lineno
+            row += 1
+    if row != count:
+        raise ValueError(f"{path}: {row} samples, meta header declares nSamples={count}")
     try:
-        ds = Dataset(np.asarray(xs), np.asarray(ys), meta)
+        ds = Dataset(x, y, meta)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    finite = np.isfinite(ds.x).all(axis=1) & np.isfinite(ds.y).all(axis=1)
+    finite = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
     if not finite.all():
-        lineno = linenos[int(np.argmin(finite))]
-        raise ValueError(f"{path}: line {lineno}: non-finite value in x or y")
+        raise ValueError(f"{path}: line {linenos[np.argmin(finite)]}: non-finite value in x or y")
     return ds
+
+
+def _parse_line(path, lineno, line):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc

@@ -161,14 +161,14 @@ def exp_steps(mat):
     and squares[j] is the matrix squared at squaring step j. The model's
     alignment stage replays these steps in reverse for its gradient.
     """
-    n = mat.shape[0]
-    norm = float(np.linalg.norm(mat))
+    v = mat.ravel(order="K")
+    norm = math.sqrt(v @ v)  # np.linalg.norm's arithmetic, without its overhead
     squarings = 0
     if norm > EXP_SCALE_LIMIT:
         squarings = int(math.ceil(math.log2(norm / EXP_SCALE_LIMIT)))
     scale = 0.5**squarings
     scaled = mat * scale
-    result = np.eye(n)
+    result = _identity(mat.shape[0])
     terms = [result]
     for k in range(1, EXP_TAYLOR_ORDER + 1):
         terms.append((terms[-1] @ scaled) * (1.0 / k))
@@ -178,6 +178,14 @@ def exp_steps(mat):
         squares.append(result)
         result = result @ result
     return result, scale, scaled, terms, squares
+
+
+@functools.cache
+def _identity(n):
+    """The n x n identity, cached and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def retract_orthogonal(raw):

@@ -9,10 +9,11 @@ suppresses first-layer mass on features whose frequency is not orthogonal
 to the rates.
 
 The pipeline is a fixed chain of closed-form stages: align, features, one
-dense stage per layer, the loss, the penalty and their weighted sum. Each
-is a plain function returning (value, vjp). `build_objective` records each
-stage as one tape entry; `predict` calls the same functions and drops the
-vjp.
+dense stage per layer, the loss and the penalty. Each is a plain function
+returning (value, vjp). `build_objective` records the whole objective, the
+loss plus mu times the penalty, as one tape entry that runs the stages
+forward and their vjps in reverse; `predict` calls the same stage
+functions and drops the vjp.
 """
 
 import json
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels, lie
+from .autodiff import Var
 from .lattice import FrequencyVector, primitive_set
 
 
@@ -277,11 +279,6 @@ def penalty_stage(w0, rates, freq):
     return np.sum(csq * dots_sq), vjp
 
 
-def objective_stage(pred_loss, penalty, mu):
-    """The objective: prediction loss plus mu times the penalty."""
-    return pred_loss + penalty * mu, lambda g: (g, g * mu)
-
-
 # -- objective and prediction ----------------------------------------------------
 
 
@@ -300,35 +297,68 @@ def pack(params):
     and rebind the params' arrays as views of it; returns the buffer."""
     arrays = list(leaf_arrays(params).values())
     flat = np.concatenate([a.ravel() for a in arrays])
-    views, offset = [], 0
-    for a in arrays:
-        views.append(flat[offset : offset + a.size].reshape(a.shape))
-        offset += a.size
+    views = _views(flat, arrays)
     params.skew, params.rates = views[0], views[1]
     params.layers = list(zip(views[2::2], views[3::2]))
     return flat
 
 
-def build_objective(tape, params, x, y, mu, loss_kind=None):
-    """Prediction loss plus mu times the resonance penalty, one tape entry
-    per stage.
+def _views(flat, arrays):
+    """Views of `flat` shaped like `arrays`, laid end to end in order."""
+    views, offset = [], 0
+    for a in arrays:
+        views.append(flat[offset : offset + a.size].reshape(a.shape))
+        offset += a.size
+    return views
 
-    Returns (objective, prediction loss, penalty, leaves), where leaves maps
-    each leaf name of leaf_arrays to its parameter Var."""
+
+def build_objective(tape, params, x, y, mu, loss_kind=None):
+    """Prediction loss plus mu times the resonance penalty, as one tape entry.
+
+    The entry's forward runs the stages in order. Its VJP calls their VJPs
+    in reverse, sums the first-layer weight's two adjoints, and writes every
+    leaf's gradient into one flat array in leaf_arrays order, which is also
+    pack's order. Returns (objective, prediction loss, penalty, leaves),
+    where leaves maps each leaf name to its parameter Var; after
+    tape.backward(objective) the leaves' grads are views of that flat array.
+    """
     loss_kind = loss_kind or params.loss_kind
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    mu = float(mu)
     freq = params.freq_matrix()
     leaves = {name: tape.param(a) for name, a in leaf_arrays(params).items()}
-    h = tape.record(align_stage, (leaves["skew"],), x, params.reflected)
-    h = tape.record(features_stage, (h,), freq)
-    last = len(params.layers) - 1
-    for i in range(len(params.layers)):
-        h = tape.record(dense_stage, (h, leaves[f"w{i}"], leaves[f"b{i}"]), i != last)
-    pred_loss = tape.record(loss_stage, (h,), y, loss_kind)
-    penalty = tape.record(penalty_stage, (leaves["w0"], leaves["rates"]), freq)
-    objective = tape.record(objective_stage, (pred_loss, penalty), float(mu))
-    return objective, pred_loss, penalty, leaves
+    terms = []
+
+    def objective_entry(*arrays):
+        skew, rates, layers = arrays[0], arrays[1], arrays[2:]
+        h, align_vjp = align_stage(skew, x, params.reflected)
+        h, features_vjp = features_stage(h, freq)
+        dense_vjps = []
+        last = len(layers) // 2 - 1
+        for i in range(last + 1):
+            h, vjp = dense_stage(h, layers[2 * i], layers[2 * i + 1], i != last)
+            dense_vjps.append(vjp)
+        pred_loss, loss_vjp = loss_stage(h, y, loss_kind)
+        penalty, penalty_vjp = penalty_stage(layers[0], rates, freq)
+        terms.extend((pred_loss, penalty))
+
+        def vjp(g):
+            grads = _views(np.empty(sum(a.size for a in arrays)), arrays)
+            d_w0, grads[1][...] = penalty_vjp(g * mu)
+            (d_h,) = loss_vjp(g)
+            for i in range(last, -1, -1):
+                d_h, grads[2 + 2 * i][...], grads[3 + 2 * i][...] = dense_vjps[i](d_h)
+            grads[2] += d_w0
+            (d_h,) = features_vjp(d_h)
+            (grads[0][...],) = align_vjp(d_h)
+            return grads
+
+        return pred_loss + penalty * mu, vjp
+
+    objective = tape.record(objective_entry, tuple(leaves.values()))
+    pred_loss, penalty = terms
+    return objective, Var(pred_loss), Var(penalty), leaves
 
 
 def predict(params, x):

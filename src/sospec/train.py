@@ -312,16 +312,6 @@ def _rate_candidate(r, restart):
     return None
 
 
-def _flat_gradient(leaves, freeze_rates):
-    """The leaves' gradients as one vector in model.pack order, with the
-    rates' slice zeroed while the rates are frozen."""
-    grad = np.concatenate([v.grad.ravel() for v in leaves.values()])
-    if freeze_rates:
-        start = leaves["skew"].value.size
-        grad[start : start + leaves["rates"].value.size] = 0.0
-    return grad
-
-
 def _train_single(dataset, cfg, loss_kind, restart):
     """One full optimization from a fresh init.
 
@@ -373,8 +363,11 @@ def _train_single(dataset, cfg, loss_kind, restart):
                     f"(loss={float(pred_loss.value)!r})"
                 )
             tape.backward(objective)
-            adam.step(_flat_gradient(leaves, freeze_rates=epoch < cfg.warmup_epochs))
-            params.rates /= np.linalg.norm(params.rates)
+            if epoch < cfg.warmup_epochs:
+                leaves["rates"].grad[...] = 0.0
+            # Every leaf's gradient is a view of the one flat, pack-order array.
+            adam.step(leaves["skew"].grad.base)
+            params.rates /= math.sqrt(params.rates @ params.rates)
             epoch_losses.append(float(pred_loss.value))
             epoch_penalties.append(float(penalty.value))
 

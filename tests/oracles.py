@@ -153,3 +153,31 @@ def gradcheck(build, init_params, floor=1e-3, step_scale=1e-6):
     ad = [v.grad.copy() for v in pvars]
     fd = fd_gradient(value, [p.copy() for p in init_params], step_scale)
     return max_rel_error(ad, fd, floor)
+
+
+def staged_objective(tape, params, x, y, mu, loss_kind=None):
+    """The objective as one tape entry per model stage: align, features,
+    each dense layer, loss, penalty and their weighted sum (nine entries for
+    four layers). It is the reference that model.build_objective's single
+    fused entry must match byte for byte. Returns the same
+    (objective, prediction loss, penalty, leaves) tuple."""
+    import sospec.model as model
+
+    loss_kind = loss_kind or params.loss_kind
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    freq = params.freq_matrix()
+    leaves = {name: tape.param(a) for name, a in model.leaf_arrays(params).items()}
+    h = tape.record(model.align_stage, (leaves["skew"],), x, params.reflected)
+    h = tape.record(model.features_stage, (h,), freq)
+    last = len(params.layers) - 1
+    for i in range(len(params.layers)):
+        h = tape.record(model.dense_stage, (h, leaves[f"w{i}"], leaves[f"b{i}"]), i != last)
+    pred_loss = tape.record(model.loss_stage, (h,), y, loss_kind)
+    penalty = tape.record(model.penalty_stage, (leaves["w0"], leaves["rates"]), freq)
+
+    def weighted_sum(loss_value, penalty_value, weight):
+        return loss_value + penalty_value * weight, lambda g: (g, g * weight)
+
+    objective = tape.record(weighted_sum, (pred_loss, penalty), float(mu))
+    return objective, pred_loss, penalty, leaves

@@ -97,6 +97,15 @@ class TestTrainEval:
                      "--out", str(tmp_path / "run"))
         assert rc == 1
 
+    def test_bad_config_value_names_file_and_line(self, tmp_path, dataset_file, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seed = 3\nepochs = 4.5\n")
+        rc = run_cli("train", "--data", str(dataset_file), "--config", str(cfg),
+                     "--out", str(tmp_path / "run"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: bad value for epochs" in err and "'4.5'" in err
+
     def test_missing_dataset_exits_one(self, tmp_path):
         rc = run_cli("train", "--data", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "run"))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,40 @@ class TestSerialization:
         path.write_text("\n".join(lines))
         with pytest.raises(ValueError, match=r"ds\.jsonl: samples have 4 inputs .* n=6"):
             data.load_dataset(path)
+
+    @pytest.mark.parametrize("rows", [4, 6])
+    def test_row_count_must_match_header(self, tmp_path, rows):
+        ds = data.double_pendulum_task(5, 0.1, seed=27)
+        path = tmp_path / "ds.jsonl"
+        data.save_dataset(ds, path)
+        lines = path.read_text().strip().split("\n")
+        lines = lines[:rows + 1] if rows < 5 else lines + lines[-1:] + [""]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"ds\.jsonl: {rows} samples, .*nSamples=5"):
+            data.load_dataset(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["x", "y"])
+    def test_save_rejects_nonfinite_before_writing(self, tmp_path, bad, field):
+        ds = data.double_pendulum_task(5, 0.1, seed=28)
+        getattr(ds, field)[2, 0] = bad
+        path = tmp_path / "ds.jsonl"
+        with pytest.raises(ValueError, match=r"ds\.jsonl: non-finite"):
+            data.save_dataset(ds, path)
+        assert not path.exists()
+
+    def test_load_holds_no_rows_beyond_the_arrays(self, tmp_path):
+        ds = data.double_pendulum_task(20000, 0.1, seed=29)
+        path = tmp_path / "ds.jsonl"
+        data.save_dataset(ds, path)
+        tracemalloc.start()
+        try:
+            back = data.load_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.x, ds.x) and np.array_equal(back.y, ds.y)
+        assert peak < 2 * (back.x.nbytes + back.y.nbytes)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

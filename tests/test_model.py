@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sospec.model as model
-from oracles import fd_gradient, max_rel_error
+from oracles import fd_gradient, max_rel_error, staged_objective
 from sospec import lie
 from sospec.autodiff import Tape
 from sospec.lattice import FrequencyVector
@@ -317,6 +317,76 @@ class TestObjectiveGradients:
         tape.backward(obj)
         fd = fd_gradient(value, [params.skew.copy()])
         assert max_rel_error([leaves["skew"].grad], fd) <= 1e-4
+
+
+def _fused_case(case, rng):
+    """An objective case for the fused-versus-staged comparison. Cases cycle
+    through both parities, both losses, mu = 0, batch 1 and skews large
+    enough to take the exponential's squaring steps."""
+    n, bandwidth = [(4, 1), (4, 2), (6, 1), (6, 2)][case % 4]
+    params = model.init_params(
+        n, bandwidth, hidden=8, seed=rng, first_layer_scale=1.0, reflected=bool(case % 2)
+    )
+    params.skew *= [1.0, 10.0, 40.0][case % 3]
+    for _, b in params.layers:
+        b += rng.normal(scale=0.1, size=b.shape)
+    batch = [1, 7, 64][(case // 2) % 3]
+    x = rng.normal(size=(batch, n))
+    logistic = case % 5 == 4
+    if logistic:
+        params.loss_kind = "logistic"
+        y = rng.integers(0, 2, size=(batch, 1)).astype(np.float64)
+    else:
+        y = rng.normal(size=(batch, 1))
+    mu = 0.0 if case % 7 == 3 else float(rng.uniform(0.05, 2.0))
+    return params, x, y, mu
+
+
+class TestFusedObjective:
+    def test_records_one_entry(self):
+        class CountingTape(Tape):
+            entries = 0
+
+            def record(self, *args):
+                self.entries += 1
+                return super().record(*args)
+
+        params, x, y, mu = _fused_case(0, np.random.default_rng(50))
+        tape = CountingTape()
+        objective, _, _, _ = model.build_objective(tape, params, x, y, mu)
+        assert tape.entries == 1
+        tape.backward(objective)
+
+    def test_matches_the_staged_tape_byte_for_byte(self):
+        rng = np.random.default_rng(51)
+        squarings = set()
+        for case in range(60):
+            params, x, y, mu = _fused_case(case, rng)
+            squarings.add(len(lie.exp_steps(lie.skew_from_params(params.skew, params.n))[4]))
+            results = []
+            for build in (model.build_objective, staged_objective):
+                tape = Tape()
+                objective, pred_loss, penalty, leaves = build(tape, params, x, y, mu)
+                tape.backward(objective)
+                results.append(
+                    [v.value.tobytes() for v in (objective, pred_loss, penalty)]
+                    + [leaf.grad.tobytes() for leaf in leaves.values()]
+                )
+            assert results[0] == results[1], case
+        assert max(squarings) >= 4
+
+    def test_gradients_share_one_flat_array_in_pack_order(self):
+        params, x, y, mu = _fused_case(2, np.random.default_rng(52))
+        tape = Tape()
+        objective, _, _, leaves = model.build_objective(tape, params, x, y, mu)
+        tape.backward(objective)
+        flat = leaves["skew"].grad.base
+        offset = 0
+        for leaf in leaves.values():
+            assert leaf.grad.base is flat
+            assert np.array_equal(flat[offset : offset + leaf.value.size], leaf.grad.ravel())
+            offset += leaf.value.size
+        assert offset == flat.size == model.pack(params).size
 
 
 class TestCheckpoint:

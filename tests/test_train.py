@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 import sospec.model as model
-from sospec.autodiff import Tape
 from sospec.data import Dataset, DatasetMeta, synth_invariant_regression
 from sospec.lattice import FrequencyVector
 from sospec.lie import CanonicalForm, assemble_generator, generator_cosine_similarity
 import sospec.train as train_mod
-from sospec.train import TrainConfig, _flat_gradient, discover, mu_schedule, split_indices, train
+from sospec.train import TrainConfig, discover, mu_schedule, split_indices, train
 
 
 def micro_config(**kw):
@@ -275,15 +274,28 @@ class TestFlatParameters:
         assert np.array_equal(params.layers[2][0], before["w2"] + 1.0)
 
     @pytest.mark.parametrize("freeze", [True, False])
-    def test_warmup_zeroes_only_the_rates_slice(self, freeze):
-        params = model.init_params(4, 1, hidden=8, seed=4, first_layer_scale=1.0)
-        rng = np.random.default_rng(5)
-        tape = Tape()
-        obj, _, _, leaves = model.build_objective(
-            tape, params, rng.normal(size=(6, 4)), rng.normal(size=(6, 1)), mu=0.5
-        )
-        tape.backward(obj)
-        grad = _flat_gradient(leaves, freeze_rates=freeze)
+    def test_warmup_zeroes_only_the_rates_slice(self, freeze, monkeypatch):
+        # One batch per epoch; epoch 0 is warm-up, epoch 1 is not.
+        cf = CanonicalForm(np.eye(4), np.array([1.0, -1.0]) / np.sqrt(2.0))
+        ds = synth_invariant_regression(cf, 10, 0.1, seed=4)
+        cfg = TrainConfig(epochs=2, warmup_epochs=1, bandwidth=1, hidden=8, restarts=1)
+        steps = []
+        build, adam_step = model.build_objective, train_mod.Adam.step
+
+        def spy_build(*args, **kwargs):
+            result = build(*args, **kwargs)
+            steps.append([result[3]])
+            return result
+
+        def spy_step(adam, grad):
+            steps[-1].append(grad.copy())
+            return adam_step(adam, grad)
+
+        monkeypatch.setattr(model, "build_objective", spy_build)
+        monkeypatch.setattr(train_mod.Adam, "step", spy_step)
+        train_mod._train_single(ds, cfg, "squared-error", 0)
+        assert len(steps) == 2
+        leaves, grad = steps[0 if freeze else 1]
         offset = 0
         for name, leaf in leaves.items():
             part = grad[offset : offset + leaf.value.size]
