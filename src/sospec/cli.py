@@ -183,13 +183,20 @@ def cmd_eval(args):
     return 0
 
 
+def _parse_values(raw, axis):
+    try:
+        return [float(v) if axis == "noise" else int(float(v)) for v in raw]
+    except (OverflowError, ValueError) as exc:
+        raise CliError(f"bad --values {' '.join(raw)!r}: {exc}") from exc
+
+
 def cmd_sweep(args):
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     base = build_train_config(args)
     spec = SweepSpec(
         axis=args.axis,
-        values=[float(v) if args.axis == "noise" else int(float(v)) for v in args.values]
-        if args.values
-        else [],
+        values=_parse_values(args.values, args.axis) if args.values else [],
         repeats=args.repeats,
         task=args.task,
         n=args.n if args.n is not None else 4,
@@ -314,7 +321,7 @@ def build_parser():
     sw.add_argument("--rates")
     sw.add_argument("--n-samples", dest="n_samples", type=int, default=8000)
     sw.add_argument("--sigma", type=float, default=0.1)
-    sw.add_argument("--jobs", type=int, default=1)
+    sw.add_argument("--jobs", type=int, default=1, help="most runs at once, capped at the CPUs")
     sw.add_argument("--out", required=True, help="output directory")
     _add_train_flags(sw)
     sw.set_defaults(func=cmd_sweep)

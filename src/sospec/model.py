@@ -419,10 +419,13 @@ def save_checkpoint(params, path, config=None):
 
 
 def load_checkpoint(path):
-    """(params, saved config) from a checkpoint file; a missing key raises
-    ValueError naming the file and the key."""
+    """(params, saved config) from a checkpoint file; a file that is not
+    JSON or misses a key raises ValueError naming the file."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     try:
         params = GeneratorParams(
             n=doc["n"],

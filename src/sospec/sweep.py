@@ -8,7 +8,8 @@ import numpy as np
 
 from .data import double_pendulum_task, make_random_generator, synth_invariant_regression
 from .lie import CanonicalForm, retract_orthogonal
-from .train import TrainConfig, train, worker_pool
+from .pool import worker_count, worker_pool
+from .train import TrainConfig, train
 
 NOISE_VALUES = [round(0.1 * k, 1) for k in range(1, 11)]
 SAMPLE_VALUES = [8000, 16000, 32000, 64000]
@@ -119,16 +120,22 @@ def aggregate(spec, run_docs):
 def run_sweep(spec, jobs=1, progress=None):
     """All runs of the grid; returns (per-run report dicts, aggregate dict).
 
-    With jobs > 1 the runs go to a `worker_pool` of that many processes,
-    each held to one BLAS thread; `train` sees it is in a pool worker and
-    trains its restarts in-process, so pools do not nest. With jobs=1 the
-    runs go one after another and each `train` picks its own worker count.
+    With jobs > 1 the runs go to a `worker_pool` of at most `jobs`
+    processes, capped at the number of runs by `worker_count` (which also
+    keeps them in-process inside a pool worker or where the platform
+    cannot fork). Each worker is held to one BLAS thread; `train` sees it
+    is in a pool worker and trains its restarts in-process, so pools do not
+    nest. Otherwise the runs go one after another and each `train` picks
+    its own worker count.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     cells = [(i, rep) for i in range(len(spec.values)) for rep in range(spec.repeats)]
+    workers = worker_count(min(jobs, len(cells)))
     docs = []
-    if jobs > 1:
-        with worker_pool(jobs) as pool:
-            futures = [pool.submit(run_one, spec, i, rep) for i, rep in cells]
+    if workers > 1:
+        with worker_pool(workers) as executor:
+            futures = [executor.submit(run_one, spec, i, rep) for i, rep in cells]
             for cell, fut in zip(cells, futures):
                 docs.append(_collect(spec, cell, fut.result, progress))
     else:

@@ -8,18 +8,13 @@ identifiable anyway. The checkpoint with the best validation prediction
 loss wins (earliest epoch on ties).
 """
 
-import ctypes
-import functools
 import math
-import multiprocessing
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import kernels, metrics, model
+from . import kernels, metrics, model, pool
 from .autodiff import Tape
 from .lattice import estimate_lambda, surviving_frequencies
 from .lie import CanonicalForm, assemble_generator, generator_cosine_similarity
@@ -40,13 +35,6 @@ _SALT_INIT, _SALT_SPLIT, _SALT_BATCH, _SALT_EVAL = 0, 1, 2, 3
 # at about 75 steps each and ran 1.5 to 2 times as fast from 150 on. The
 # floor keeps a wide margin, and keeps tiny runs in-process.
 PARALLEL_MIN_STEPS = 1000
-
-# Worker pools fork. spawn and forkserver re-import the caller's main
-# script in each worker, so a script without a `__main__` guard would break
-# the first time train() picked a pool for it, and spawn costs about 0.5 s
-# a pool against 20 ms. Without fork, train() stays in-process and a
-# fanned-out sweep uses the platform's default start method.
-_HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 @dataclass
@@ -384,107 +372,29 @@ def _train_single(dataset, cfg, loss_kind, restart):
     return best_params, best_val, best_epoch, curves
 
 
-@functools.cache
-def _blas_thread_calls():
-    """(set, get) of the thread count of numpy's OpenBLAS, or None.
-
-    dlsym on the handle of numpy's core extension also searches the
-    libraries it links, so this finds the BLAS numpy actually uses, under
-    the symbol names of the bundled scipy-openblas (64-bit interface) or of
-    a plain OpenBLAS.
-    """
-    try:
-        from numpy._core import _multiarray_umath as core
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as core
-    try:
-        lib = ctypes.CDLL(core.__file__)
-    except OSError:
-        return None
-    for prefix in ("scipy_openblas", "openblas"):
-        for suffix in ("64_", ""):
-            try:
-                setter = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-                getter = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-            except AttributeError:
-                continue
-            setter.argtypes, getter.restype = [ctypes.c_int], ctypes.c_int
-            return setter, getter
-    return None
-
-
-# The dataset a restart worker trains on, set once by the worker's
-# initializer: forked workers inherit it instead of unpickling a copy with
-# every restart, and the parent keeps no pickled copies. Two 32 000-row
-# pendulum restarts shipped as arguments left the parent 5 MB larger.
-_worker_dataset = None
-
-
-def _start_worker(dataset):
-    """Initializer of every `worker_pool` worker: keep `dataset` for
-    `_train_in_worker` and hold this process's BLAS to one thread, if its
-    setting can be found.
-
-    With its default thread count each worker's BLAS starts as many threads
-    as the machine has cores, and the workers' threads then contend for
-    them. On two cores, two pendulum restarts took two to three times as
-    long in such a pool as one after the other.
-    """
-    global _worker_dataset
-    _worker_dataset = dataset
-    calls = _blas_thread_calls()
-    if calls is not None:
-        calls[0](1)
-
-
-def _train_in_worker(cfg, loss_kind, restart):
-    return _train_single(_worker_dataset, cfg, loss_kind, restart)
-
-
-def worker_pool(workers, dataset=None):
-    """A process pool of `workers` workers, each held to one BLAS thread
-    and keeping `dataset` for the restarts it trains. The restarts of
-    `train` and the runs of a fanned-out sweep both run in one."""
-    context = multiprocessing.get_context("fork" if _HAVE_FORK else None)
-    return ProcessPoolExecutor(workers, context, initializer=_start_worker, initargs=(dataset,))
-
-
 def _restart_workers(dataset, cfg):
     """How many processes `train(dataset, cfg)` runs restarts in; 1 means
     in-process.
 
     In-process when a restart takes fewer than PARALLEL_MIN_STEPS optimizer
-    steps, when this process is itself a pool worker (pools do not nest),
-    when the platform cannot fork or when no BLAS thread setter is found;
-    otherwise one worker per restart, up to the usable CPUs.
+    steps; otherwise `pool.worker_count` of the restarts.
     """
     steps = cfg.epochs * math.ceil(int(TRAIN_FRAC * len(dataset)) / cfg.batch_size)
-    in_worker = multiprocessing.parent_process() is not None
-    if steps < PARALLEL_MIN_STEPS or in_worker or not _HAVE_FORK or _blas_thread_calls() is None:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:  # macOS and Windows have no affinity call
-        cpus = os.cpu_count() or 1
-    return min(cfg.restarts, cpus)
+    return 1 if steps < PARALLEL_MIN_STEPS else pool.worker_count(cfg.restarts)
 
 
-def _outcome(fn, *args):
-    """`fn(*args)`, or the _RestartFailure it raised."""
+def _train_restart(dataset, cfg, loss_kind, restart):
+    """`_train_single`'s result tuple, or the _RestartFailure it raised."""
     try:
-        return fn(*args)
+        return _train_single(dataset, cfg, loss_kind, restart)
     except _RestartFailure as failure:
         return failure
 
 
 def _run_restarts(dataset, cfg, loss_kind, workers):
     """Every restart's result tuple or _RestartFailure, in restart order."""
-    restarts = range(cfg.restarts)
-    if workers == 1:
-        return [_outcome(_train_single, dataset, cfg, loss_kind, r) for r in restarts]
-    with worker_pool(workers, dataset) as pool:
-        futures = [pool.submit(_train_in_worker, cfg, loss_kind, r) for r in restarts]
-        return [_outcome(future.result) for future in futures]
+    tasks = [(cfg, loss_kind, r) for r in range(cfg.restarts)]
+    return list(pool.run_in_order(_train_restart, dataset, tasks, workers))
 
 
 def train(dataset, cfg):

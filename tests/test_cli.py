@@ -179,6 +179,15 @@ class TestTrainEval:
         assert f"{bad}: checkpoint has no 'frequencies'" in capsys.readouterr().err
         assert not (tmp_path / "eval.json").exists()
 
+    def test_corrupt_checkpoint_names_its_file(self, tmp_path, dataset_file, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{\n")
+        rc = run_cli("eval", "--checkpoint", str(bad), "--data", str(dataset_file),
+                     "--out", str(tmp_path / "eval.json"))
+        assert rc == 1
+        assert f"error: {bad}: invalid JSON (Expecting property name" in capsys.readouterr().err
+        assert not (tmp_path / "eval.json").exists()
+
     def test_bad_flag_exits_one(self, tmp_path):
         rc = run_cli("train", "--data", "x", "--out", "y", "--no-such-flag")
         assert rc == 1
@@ -218,6 +227,22 @@ class TestSweepAndReport:
         assert "synth" in md and "Cosine" in md
         summary = json.loads((out / "summary.json").read_text())
         assert summary["tasks"][0]["nRuns"] == 2
+
+    @pytest.mark.parametrize(
+        "flags, found",
+        [
+            (("--jobs", "0"), "--jobs must be at least 1, got 0"),
+            (("--jobs", "-3"), "--jobs must be at least 1, got -3"),
+            (("--values", "0.1", "abc"), "bad --values '0.1 abc': could not convert"),
+        ],
+    )
+    def test_bad_sweep_flag_is_named(self, tmp_path, capsys, flags, found):
+        out = tmp_path / "sweep"
+        rc = run_cli("sweep", "--axis", "noise", "--repeats", "1", "--n-samples", "400",
+                     "--epochs", "4", "--warmup-epochs", "2", *flags, "--out", str(out))
+        assert rc == 1
+        assert f"error: {found}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_on_empty_dir_exits_one(self, tmp_path):
         assert run_cli("report", "--dir", str(tmp_path)) == 1

@@ -1,10 +1,13 @@
 import json
+import os
+import stat
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import sospec.data as data
+import sospec.pool as pool_mod
 from oracles import rational_nullspace
 from sospec.lattice import FrequencyVector, estimate_lambda, primitive_set, resonant_subset
 from sospec.lie import CanonicalForm, J2, matrix_exp, retract_orthogonal
@@ -221,6 +224,197 @@ class TestSerialization:
         path.write_text('{"x": [1, 2], "y": [0.5]}\n')
         with pytest.raises(ValueError, match="meta"):
             data.load_dataset(path)
+
+
+def _oracle_bytes(ds):
+    """The file save_dataset writes, one json.dumps per row."""
+    lines = [json.dumps({"meta": ds.meta.to_json_dict()})]
+    lines += [json.dumps({"x": ds.x[i].tolist(), "y": ds.y[i].tolist()}) for i in range(len(ds))]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the pools created while the test runs."""
+    made = []
+
+    class Recording(pool_mod.ProcessPoolExecutor):
+        def __init__(self, workers, *args, **kwargs):
+            made.append(workers)
+            super().__init__(workers, *args, **kwargs)
+
+    monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", Recording)
+    return made
+
+
+def _assert_pools(pools, count):
+    """`count` pools of more than one worker were made, if this machine
+    pools at all."""
+    assert len(pools) == (count if pool_mod.worker_count(2) > 1 else 0)
+    assert all(workers > 1 for workers in pools)
+
+
+@pytest.fixture(scope="module")
+def big_file(tmp_path_factory):
+    """A pendulum file just above the row floor, as lines."""
+    ds = data.double_pendulum_task(data.PARALLEL_MIN_ROWS + 1000, 0.1, seed=30)
+    path = tmp_path_factory.mktemp("big") / "big.jsonl"
+    data.save_dataset(ds, path)
+    return path.read_text().split("\n")
+
+
+def _load_message(monkeypatch, path, pools, pooled):
+    """load_dataset's error for `path`, through the pool or in-process."""
+    monkeypatch.setattr(data, "PARALLEL_MIN_ROWS", data.PARALLEL_MIN_ROWS if pooled else 10**9)
+    pools.clear()
+    with pytest.raises(ValueError) as err:
+        data.load_dataset(path)
+    _assert_pools(pools, 1 if pooled else 0)
+    return str(err.value)
+
+
+_real_format_rows = data._format_rows
+
+
+def _fail_on_second_chunk(ds, start, stop):
+    if start > 0:
+        raise RuntimeError("chunk failed")
+    return _real_format_rows(ds, start, stop)
+
+
+def _save_and_load(path):
+    ds = data.double_pendulum_task(data.PARALLEL_MIN_ROWS, 0.1, seed=35)
+    data.save_dataset(ds, path)
+    back = data.load_dataset(path)
+    return np.array_equal(back.x, ds.x) and np.array_equal(back.y, ds.y)
+
+
+class TestChunkedIO:
+    @pytest.mark.parametrize("task", ["pendulum6d", "synth-cls"])
+    def test_pooled_save_writes_the_per_row_bytes(self, tmp_path, pools, task):
+        rows = data.PARALLEL_MIN_ROWS + 123
+        if task == "pendulum6d":
+            ds = data.double_pendulum_task(rows, 0.1, seed=31)
+        else:
+            cf = data.make_random_generator(8, seed=32, kind="rational")
+            ds = data.synth_invariant_classification(cf, rows, 0.1, seed=33)
+        path = tmp_path / "ds.jsonl"
+        data.save_dataset(ds, path)
+        _assert_pools(pools, 1)
+        assert path.read_bytes() == _oracle_bytes(ds)
+        back = data.load_dataset(path)
+        assert np.array_equal(back.x, ds.x) and np.array_equal(back.y, ds.y)
+        _assert_pools(pools, 2)
+
+    def test_small_files_stay_in_process(self, tmp_path, pools):
+        ds = data.double_pendulum_task(data.PARALLEL_MIN_ROWS - 1, 0.1, seed=34)
+        path = tmp_path / "ds.jsonl"
+        data.save_dataset(ds, path)
+        assert path.read_bytes() == _oracle_bytes(ds)
+        assert np.array_equal(data.load_dataset(path).x, ds.x)
+        assert pools == []
+
+    def test_pool_worker_saves_and_loads_in_process(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was created")
+
+        with pool_mod.worker_pool(1) as pool:
+            monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", no_pool)  # forked into the worker
+            assert pool.submit(_save_and_load, tmp_path / "ds.jsonl").result()
+
+    @pytest.mark.parametrize(
+        "bad, found",
+        [
+            ("{not json}", "invalid JSON (Expecting property name"),
+            ('{"x": [1.0, 2.0], "y": [0.5]}', "samples have 2 inputs and 1 outputs"),
+            ("nan", "non-finite value in x or y"),
+        ],
+    )
+    def test_last_chunk_errors_match_in_process(self, tmp_path, monkeypatch, pools, big_file,
+                                                bad, found):
+        lines = list(big_file)
+        last = len(lines) - 1  # lines[-1] is the empty string after the final newline
+        if bad == "nan":
+            sample = json.loads(lines[last - 1])
+            sample["x"][3] = float("nan")
+            bad = json.dumps(sample)
+        lines[last - 1] = bad
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines))
+        pooled = _load_message(monkeypatch, path, pools, pooled=True)
+        assert pooled == _load_message(monkeypatch, path, pools, pooled=False)
+        assert found in pooled and f"line {last}" in pooled and pooled.startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("extra", ["row", "bad row", "bad line after"])
+    def test_more_rows_than_header_match_in_process(self, tmp_path, monkeypatch, pools,
+                                                    big_file, extra):
+        lines = list(big_file)
+        declared = len(lines) - 3
+        header = json.loads(lines[0])
+        header["meta"]["nSamples"] = declared
+        lines[0] = json.dumps(header)
+        if extra == "bad row":  # the row beyond the declared count is itself malformed
+            lines[-2] = "{not json}"
+        elif extra == "bad line after":
+            lines[-1:-1] = ["  ", "{not json}"]
+        path = tmp_path / "over.jsonl"
+        path.write_text("\n".join(lines))
+        pooled = _load_message(monkeypatch, path, pools, pooled=True)
+        assert pooled == _load_message(monkeypatch, path, pools, pooled=False)
+        rows = declared + (2 if extra == "bad line after" else 1)
+        assert pooled == f"{path}: {rows} samples, meta header declares nSamples={declared}"
+
+    def test_fewer_rows_than_header_match_in_process(self, tmp_path, monkeypatch, pools,
+                                                     big_file):
+        lines = list(big_file)
+        rows = len(lines) - 2
+        header = json.loads(lines[0])
+        header["meta"]["nSamples"] = rows + 1
+        lines[0] = json.dumps(header)
+        path = tmp_path / "under.jsonl"
+        path.write_text("\n".join(lines))
+        pooled = _load_message(monkeypatch, path, pools, pooled=True)
+        assert pooled == _load_message(monkeypatch, path, pools, pooled=False)
+        assert pooled == f"{path}: {rows} samples, meta header declares nSamples={rows + 1}"
+
+    @pytest.mark.parametrize("rows", [50, data.PARALLEL_MIN_ROWS])
+    def test_failed_save_leaves_the_old_file(self, tmp_path, monkeypatch, pools, rows):
+        path = tmp_path / "ds.jsonl"
+        path.write_text("the old file\n")
+        monkeypatch.setattr(data, "SAVE_CHUNK_VALUES", 7 * 10)  # ten pendulum rows a chunk
+        monkeypatch.setattr(data, "_format_rows", _fail_on_second_chunk)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            data.save_dataset(data.double_pendulum_task(rows, 0.1, seed=36), path)
+        assert path.read_text() == "the old file\n"
+        assert os.listdir(tmp_path) == ["ds.jsonl"]
+        _assert_pools(pools, 1 if rows >= data.PARALLEL_MIN_ROWS else 0)
+
+    def test_save_through_a_link_replaces_its_target(self, tmp_path):
+        ds = data.double_pendulum_task(20, 0.1, seed=37)
+        (tmp_path / "real.jsonl").write_text("the old file\n")
+        (tmp_path / "link.jsonl").symlink_to("real.jsonl")
+        data.save_dataset(ds, tmp_path / "link.jsonl")
+        assert (tmp_path / "link.jsonl").is_symlink()
+        assert (tmp_path / "real.jsonl").read_bytes() == _oracle_bytes(ds)
+        assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "real.jsonl"]
+
+    def test_save_to_a_pipe_writes_in_place(self, tmp_path):
+        ds = data.double_pendulum_task(20, 0.1, seed=38)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # the file fits the pipe's buffer
+        try:
+            data.save_dataset(ds, fifo)
+            assert os.read(reader, 1 << 16) == _oracle_bytes(ds)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    def test_save_into_a_missing_directory_names_the_path(self, tmp_path):
+        path = tmp_path / "missing" / "ds.jsonl"
+        with pytest.raises(FileNotFoundError) as err:
+            data.save_dataset(data.double_pendulum_task(20, 0.1, seed=39), path)
+        assert err.value.filename == str(path)
 
 
 class TestClassification:

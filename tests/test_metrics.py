@@ -1,9 +1,11 @@
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 import sospec.model as model
+import sospec.pool as pool_mod
 import sospec.sweep as sweep_mod
 import sospec.train as train_mod
 from sospec.data import Dataset, DatasetMeta
@@ -172,6 +174,46 @@ class TestSweep:
         expected = train_mod._restart_workers(big, cfg) if train_workers is None else train_workers
         assert len(docs) == 2 and not any(d.get("failureReason") for d in docs)
         assert [d["config"] for d in docs] == [{"workers": expected, "inWorker": jobs > 1}] * 2
+
+    @pytest.mark.parametrize("jobs, cells, workers", [(1000, 4, 4), (3, 4, 3), (2, 1, None)])
+    def test_jobs_capped_at_cells_and_cpus(self, monkeypatch, jobs, cells, workers):
+        # a stub pool: no process is started, whatever count it is asked for
+        if not (pool_mod._HAVE_FORK and pool_mod._blas_thread_calls() is not None):
+            pytest.skip("this platform keeps every job in-process")
+        asked = []
+
+        class StubPool:
+            def __init__(self, count):
+                asked.append(count)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(sweep_mod, "worker_pool", StubPool)
+        monkeypatch.setattr(sweep_mod, "run_one", lambda spec, i, rep: {"sweep": {
+            "axis": spec.axis, "value": spec.values[i], "repeat": rep}})
+        monkeypatch.setattr(pool_mod.os, "sched_getaffinity", lambda pid: set(range(64)),
+                            raising=False)
+        docs, _ = run_sweep(micro_spec(repeats=cells), jobs=jobs)
+        assert len(docs) == cells
+        assert asked == ([] if workers is None else [workers])
+        monkeypatch.setattr(pool_mod.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        asked.clear()
+        run_sweep(micro_spec(repeats=cells), jobs=jobs)
+        assert asked == ([] if workers is None else [2])
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_sweep(micro_spec(), jobs=jobs)
 
     def test_default_axis_values(self):
         spec = SweepSpec(axis="noise", base=TrainConfig())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sospec.model as model
+import sospec.pool as pool_mod
 from sospec.data import Dataset, DatasetMeta, synth_invariant_regression
 from sospec.lattice import FrequencyVector
 from sospec.lie import CanonicalForm, assemble_generator, generator_cosine_similarity
@@ -156,7 +157,7 @@ def _without_wall_clock(report):
 
 def _blas_threads():
     """The thread count numpy's OpenBLAS uses in this process."""
-    return train_mod._blas_thread_calls()[1]()
+    return pool_mod._blas_thread_calls()[1]()
 
 
 def _restart_dataset(n_samples, seed):
@@ -172,7 +173,7 @@ def _zeros(n_samples):
 def _parent_workers(cfg):
     """The worker count a run long enough for a pool gets in this process."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    can_pool = train_mod._HAVE_FORK and train_mod._blas_thread_calls() is not None
+    can_pool = pool_mod._HAVE_FORK and pool_mod._blas_thread_calls() is not None
     return min(cfg.restarts, cpus) if can_pool else 1
 
 
@@ -195,13 +196,13 @@ class TestParallelRestarts:
         assert (tmp_path / "2.json").read_bytes() == (tmp_path / "1.json").read_bytes()
 
     def test_workers_hold_blas_to_one_thread(self):
-        calls = train_mod._blas_thread_calls()
+        calls = pool_mod._blas_thread_calls()
         if calls is None:
             pytest.skip("numpy's BLAS exposes no OpenBLAS thread setter")
         before = calls[1]()
         calls[0](2)  # a forked worker would otherwise inherit this count
         try:
-            with train_mod.worker_pool(2) as pool:
+            with pool_mod.worker_pool(2) as pool:
                 assert pool.submit(_blas_threads).result() == 1
         finally:
             calls[0](before)
@@ -210,7 +211,7 @@ class TestParallelRestarts:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was created")
 
-        monkeypatch.setattr(train_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", no_pool)
         params, report = train(_restart_dataset(600, seed=14), micro_config())  # 6 x 4 steps
         assert params is not None and report.failure_reason is None
 
@@ -222,7 +223,7 @@ class TestParallelRestarts:
     def test_pool_worker_trains_in_process(self):
         big, cfg = _zeros(4000), TrainConfig()
         assert train_mod._restart_workers(big, cfg) == _parent_workers(cfg)
-        with train_mod.worker_pool(1) as pool:
+        with pool_mod.worker_pool(1) as pool:
             assert pool.submit(train_mod._restart_workers, big, cfg).result() == 1
 
     def test_diverging_restart_is_recorded_and_skipped(self, monkeypatch):
