@@ -23,7 +23,7 @@ from .data import (
     synth_invariant_regression,
 )
 from .lie import CanonicalForm, retract_orthogonal
-from .sweep import SweepSpec, run_sweep, write_sweep_outputs
+from .sweep import SweepSpec, check_values, run_sweep, write_sweep_outputs
 from .train import RunReport, TrainConfig, evaluate_params, train
 
 TASKS = ("pendulum6d", "synth", "synth-cls")
@@ -185,7 +185,9 @@ def cmd_eval(args):
 
 def _parse_values(raw, axis):
     try:
-        return [float(v) if axis == "noise" else int(float(v)) for v in raw]
+        values = [float(v) if axis == "noise" else int(float(v)) for v in raw]
+        check_values(values)
+        return values
     except (OverflowError, ValueError) as exc:
         raise CliError(f"bad --values {' '.join(raw)!r}: {exc}") from exc
 

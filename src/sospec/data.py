@@ -41,10 +41,15 @@ SAVE_CHUNK_VALUES = 4096
 LOAD_CHUNK_BYTES = 1 << 17
 # Rows from which save_dataset and load_dataset run their chunks in a
 # worker pool (see `pool.worker_count`). Forking the pool and warming its
-# workers costs 25 to 50 ms; on two cores pooled pendulum saves and loads
-# broke even at 16 000 to 20 000 rows and were 6 to 25% faster at 24 000
-# and 32 000.
+# workers costs 25 to 70 ms. On two cores, with one `json.loads` and one
+# `%` a chunk, pooled and in-process pendulum saves and loads timed alone
+# were about even from 16 000 to 32 000 rows and the pool won from 48 000;
+# in perfbench's pendulum6d, whose gen_data_s and eval_s each save or load
+# 32 000 rows, they were 0.23 and 0.18 s pooled against 0.31 and 0.21 s
+# in-process (medians of four runs).
 PARALLEL_MIN_ROWS = 24000
+# What a number in a sample line may be made of, for `_parse_rows`.
+_NUMBER_BYTES = b"0123456789.eE+-"
 
 
 @dataclass
@@ -224,6 +229,12 @@ def _audit_invariance(target, generator, n, rng):
     return worst
 
 
+def check_noise_sigma(noise_sigma):
+    """Raise ValueError unless `noise_sigma` is finite and nonnegative."""
+    if not 0 <= noise_sigma < np.inf:  # NaN fails every comparison
+        raise ValueError(f"noise sigma must be finite and nonnegative, got {noise_sigma!r}")
+
+
 def synth_invariant_regression(cf, n_samples, noise_sigma, seed, bandwidth=2):
     """Regression task invariant under the subgroup of `cf`.
 
@@ -233,8 +244,7 @@ def synth_invariant_regression(cf, n_samples, noise_sigma, seed, bandwidth=2):
     resonance exists within the bandwidth the target falls back to its
     radial part, which is invariant under every block rotation.
     """
-    if noise_sigma < 0:
-        raise ValueError("noise sigma must be nonnegative")
+    check_noise_sigma(noise_sigma)
     rng = np.random.default_rng(seed)
     raw_target, _ = _resonant_character_target(cf, bandwidth, rng)
     generator = assemble_generator(cf)
@@ -282,8 +292,7 @@ def double_pendulum_task(n_samples, noise_sigma, seed):
     the data. This mirrors the advertised symmetry exactly; it does not
     integrate pendulum dynamics.
     """
-    if noise_sigma < 0:
-        raise ValueError("noise sigma must be nonnegative")
+    check_noise_sigma(noise_sigma)
     n, r = 6, 3
     rng = np.random.default_rng(seed)
     rates = np.ones(r) / np.sqrt(float(r))
@@ -361,12 +370,18 @@ def save_dataset(ds, path):
         raise
 
 
+def _row_template(n, out_dim):
+    """The `%` template of one sample line with n inputs and out_dim
+    outputs: the text `json.dumps({"x": xs, "y": ys})` writes, with `%r`
+    for each value, since json.dumps writes a finite float as its repr."""
+    return '{"x": [%s], "y": [%s]}\n' % (", ".join(["%r"] * n), ", ".join(["%r"] * out_dim))
+
+
 def _format_rows(ds, start, stop):
-    """Rows start..stop-1 of `ds` as JSON lines."""
-    return "".join(
-        json.dumps({"x": xs, "y": ys}) + "\n"
-        for xs, ys in zip(ds.x[start:stop].tolist(), ds.y[start:stop].tolist())
-    )
+    """Rows start..stop-1 of `ds` as JSON lines, formatted with one `%`."""
+    values = np.hstack((ds.x[start:stop], ds.y[start:stop]))
+    template = _row_template(ds.x.shape[1], ds.y.shape[1]) * (stop - start)
+    return template % tuple(values.ravel().tolist())
 
 
 def load_dataset(path):
@@ -449,10 +464,33 @@ def _parse_rows(path, start, stop, lineno, n, out_dim):
     Returns (x, y, linenos, error): the rows up to the first bad line, each
     row's line number, and the ValueError that line raised (None if there
     is none), so the caller can tell which problem comes first in the file.
+
+    Lines exactly as save_dataset writes them, apart from their numbers,
+    are parsed with one `json.loads` of all their numbers as one list; the
+    same scanner then checks and converts each number as it would on its
+    own line. Any other text, and numbers that scanner or the conversion
+    to float rejects, go through the lines one `json.loads` at a time,
+    which is where every error message comes from.
     """
     with open(path, "rb") as fh:
         fh.seek(start)
-        lines = fh.read(stop - start).decode("utf-8").split("\n")
+        block = fh.read(stop - start)
+    rows = block.count(b"\n")
+    skeleton = _row_template(n, out_dim).replace("%r", "").encode()
+    if rows and block.translate(None, _NUMBER_BYTES) == skeleton * rows:
+        # what lies between the first '{"x": [' and the last ']}\n', with the
+        # structure between them replaced; anything but numbers and ", "
+        # left over means a number stood inside the structure
+        numbers = block.replace(b']}\n{"x": [', b", ").replace(b'], "y": [', b", ")[7:-3]
+        if numbers.translate(None, _NUMBER_BYTES) == b", " * (rows * (n + out_dim) - 1):
+            try:
+                values = np.array(json.loads("[%s]" % numbers.decode()), dtype=np.float64)
+            except (ValueError, OverflowError):
+                pass
+            else:
+                values = values.reshape(rows, n + out_dim)
+                return values[:, :n], values[:, n:], np.arange(lineno, lineno + rows), None
+    lines = block.decode("utf-8").split("\n")
     x = np.empty((len(lines), n))
     y = np.empty((len(lines), out_dim))
     linenos = np.empty(len(lines), dtype=np.int64)
@@ -475,7 +513,7 @@ def _parse_rows(path, start, stop, lineno, n, out_dim):
             try:
                 x[row] = xs
                 y[row] = ys
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
             linenos[row] = lineno
             row += 1

@@ -2,11 +2,17 @@
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import double_pendulum_task, make_random_generator, synth_invariant_regression
+from .data import (
+    check_noise_sigma,
+    double_pendulum_task,
+    make_random_generator,
+    synth_invariant_regression,
+)
 from .lie import CanonicalForm, retract_orthogonal
 from .pool import worker_count, worker_pool
 from .train import TrainConfig, train
@@ -32,14 +38,25 @@ class SweepSpec:
             raise ValueError(f"axis must be noise or samples, got {self.axis!r}")
         if not self.values:
             self.values = list(NOISE_VALUES if self.axis == "noise" else SAMPLE_VALUES)
-        if any(v <= 0 for v in self.values):
-            raise ValueError("sweep values must be positive")
+        check_values(self.values)
+        check_noise_sigma(self.noise_sigma)
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
         if self.task not in ("synth", "pendulum6d"):
             raise ValueError(f"unknown sweep task {self.task!r}")
         if self.task == "synth" and self.rates is not None and len(self.rates) != self.n // 2:
             raise ValueError(f"need {self.n // 2} rates for n={self.n}, got {self.rates}")
+
+
+def check_values(values):
+    """Raise ValueError naming the first of `values` that is not finite and
+    positive or that repeats an earlier one: each value's runs write report
+    files named by the value, and `aggregate` groups runs by it."""
+    for i, value in enumerate(values):
+        if not 0 < value < math.inf:  # NaN fails every comparison
+            raise ValueError(f"sweep values must be finite and positive, got {value!r}")
+        if value in values[:i]:
+            raise ValueError(f"sweep values must be distinct, got {value!r} twice")
 
 
 def _make_dataset(spec, value, seed):

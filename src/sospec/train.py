@@ -73,6 +73,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.mu_init < 0:  # zero switches the penalty off (plain regression)
             raise ValueError("mu_init must be nonnegative")
+        for name in ("lr", "mu_init", "mu_max_scale", "t_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.warmup_epochs > self.epochs:
             raise ValueError("warmup_epochs must not exceed epochs")
         if self.loss not in ("auto", "squared-error", "logistic"):

@@ -47,6 +47,15 @@ class TestGenData:
         rc = run_cli("gen-data", "--task", "synth", "--n", "5", "--out", str(tmp_path / "x.jsonl"))
         assert rc == 1
 
+    @pytest.mark.parametrize("task", ["synth", "pendulum6d"])
+    def test_nonfinite_sigma_exits_one(self, tmp_path, capsys, task):
+        out = tmp_path / "x.jsonl"
+        rc = run_cli("gen-data", "--task", task, "--n-samples", "50", "--sigma", "nan",
+                     "--out", str(out))
+        assert rc == 1
+        assert "noise sigma must be finite and nonnegative, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainEval:
     def test_train_writes_outputs_and_is_deterministic(self, tmp_path, dataset_file):
@@ -188,6 +197,14 @@ class TestTrainEval:
         assert f"error: {bad}: invalid JSON (Expecting property name" in capsys.readouterr().err
         assert not (tmp_path / "eval.json").exists()
 
+    def test_nonfinite_learning_rate_exits_one_before_training(self, tmp_path, dataset_file,
+                                                               capsys):
+        rc = run_cli("train", "--data", str(dataset_file), "--lr", "nan",
+                     "--out", str(tmp_path / "run"))
+        assert rc == 1
+        assert "invalid configuration: lr must be finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_bad_flag_exits_one(self, tmp_path):
         rc = run_cli("train", "--data", "x", "--out", "y", "--no-such-flag")
         assert rc == 1
@@ -234,6 +251,11 @@ class TestSweepAndReport:
             (("--jobs", "0"), "--jobs must be at least 1, got 0"),
             (("--jobs", "-3"), "--jobs must be at least 1, got -3"),
             (("--values", "0.1", "abc"), "bad --values '0.1 abc': could not convert"),
+            (("--values", "nan"), "bad --values 'nan': sweep values must be finite and "
+                                  "positive, got nan"),
+            (("--values", "0.1", "0.3", "0.1"), "bad --values '0.1 0.3 0.1': sweep values must "
+                                                "be distinct, got 0.1 twice"),
+            (("--sigma", "nan"), "noise sigma must be finite and nonnegative, got nan"),
         ],
     )
     def test_bad_sweep_flag_is_named(self, tmp_path, capsys, flags, found):

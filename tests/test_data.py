@@ -94,6 +94,16 @@ class TestSynthRegression:
         assert np.array_equal(d1.x, d2.x) and np.array_equal(d1.y, d2.y)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+def test_noise_sigma_must_be_finite_and_nonnegative(sigma):
+    cf = data.make_random_generator(4, seed=17, kind="rational")
+    found = f"noise sigma must be finite and nonnegative, got {sigma!r}"
+    with pytest.raises(ValueError, match=found):
+        data.synth_invariant_regression(cf, 50, sigma, seed=18)
+    with pytest.raises(ValueError, match=found):
+        data.double_pendulum_task(50, sigma, seed=18)
+
+
 class TestPendulum:
     def test_true_generator_is_diagonal(self):
         ds = data.double_pendulum_task(300, 0.0, seed=15)
@@ -226,6 +236,16 @@ class TestSerialization:
             data.load_dataset(path)
 
 
+def _row(first):
+    """A pendulum sample line whose first input is the text `first`."""
+    return '{"x": [%s, 0.5, -1.25, 2.0, 0.0, 3.5], "y": [0.75]}' % first
+
+
+def _bits(a):
+    """`a`'s values as integers, so -0.0 and 0.0 differ."""
+    return a.view(np.uint64)
+
+
 def _oracle_bytes(ds):
     """The file save_dataset writes, one json.dumps per row."""
     lines = [json.dumps({"meta": ds.meta.to_json_dict()})]
@@ -328,6 +348,11 @@ class TestChunkedIO:
             ("{not json}", "invalid JSON (Expecting property name"),
             ('{"x": [1.0, 2.0], "y": [0.5]}', "samples have 2 inputs and 1 outputs"),
             ("nan", "non-finite value in x or y"),
+            (_row("1" * 400), "int too large to convert to float"),
+            (_row("1e400"), "non-finite value in x or y"),
+            # numbers the sample lines' skeleton lets through and json rejects
+            *[(_row(token), "invalid JSON (")
+              for token in ("01", "1.", ".5", "+1", "-", "1e", "1.2.3", "")],
         ],
     )
     def test_last_chunk_errors_match_in_process(self, tmp_path, monkeypatch, pools, big_file,
@@ -344,6 +369,63 @@ class TestChunkedIO:
         pooled = _load_message(monkeypatch, path, pools, pooled=True)
         assert pooled == _load_message(monkeypatch, path, pools, pooled=False)
         assert found in pooled and f"line {last}" in pooled and pooled.startswith(f"{path}: ")
+        if found == "invalid JSON (":  # the message per-line json.loads gives
+            with pytest.raises(json.JSONDecodeError) as oracle:
+                json.loads(bad)
+            assert pooled == f"{path}: line {last}: invalid JSON ({oracle.value})"
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_extreme_values_round_trip_bit_for_bit(self, tmp_path, monkeypatch, pools, pooled):
+        ds = data.double_pendulum_task(3000, 0.1, seed=40)
+        rng = np.random.default_rng(41)
+        extremes = [-0.0, 5e-324, 1e-05, 9.999e-05, 0.0001, 1e16, 1.7976931348623157e308]
+        extremes += [-v for v in extremes]
+        for field in (ds.x, ds.y):
+            where = rng.random(field.shape) < 0.3
+            field[where] = rng.choice(extremes, size=where.sum())
+        monkeypatch.setattr(data, "PARALLEL_MIN_ROWS", 1 if pooled else 10**9)
+        path = tmp_path / "ds.jsonl"
+        data.save_dataset(ds, path)
+        assert path.read_bytes() == _oracle_bytes(ds)
+        back = data.load_dataset(path)
+        assert np.array_equal(_bits(back.x), _bits(ds.x))
+        assert np.array_equal(_bits(back.y), _bits(ds.y))
+        _assert_pools(pools, 2 if pooled else 0)
+
+    def test_numbers_inside_the_structure_get_the_per_line_message(self, tmp_path):
+        # one chunk whose structure holds the right characters in the right
+        # order, but whose first and last lines would parse as one object
+        ds = data.double_pendulum_task(3, 0.1, seed=42)
+        path = tmp_path / "ds.jsonl"
+        data.save_dataset(ds, path)
+        lines = path.read_text().split("\n")
+        lines[1], lines[3] = "1234567" + lines[1], lines[3] + "12"
+        path.write_text("\n".join(lines))
+        with pytest.raises(json.JSONDecodeError) as oracle:
+            json.loads(lines[1])
+        with pytest.raises(ValueError) as err:
+            data.load_dataset(path)
+        assert str(err.value) == f"{path}: line 2: invalid JSON ({oracle.value})"
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_other_valid_lines_load_as_per_line_json(self, tmp_path, monkeypatch, pools,
+                                                     big_file, pooled):
+        lines = list(big_file)
+        middle, last = len(lines) // 2, len(lines) - 2
+        lines[2] = _row("1E5").replace("2.0", "3")  # an integer
+        lines[middle] = lines[middle] + "\r"
+        lines[middle + 1] = lines[middle + 1].replace(", ", " ,  ").replace(": ", ":")
+        sample = json.loads(lines[middle + 2])
+        lines[middle + 2] = json.dumps({"y": sample["y"], "x": sample["x"]})
+        lines[last] = "\r\n".join([lines[last], "", "  "])  # blank lines after a row
+        path = tmp_path / "other.jsonl"
+        path.write_text("\n".join(lines))
+        samples = [json.loads(line) for line in "\n".join(lines[1:]).split("\n") if line.strip()]
+        monkeypatch.setattr(data, "PARALLEL_MIN_ROWS", data.PARALLEL_MIN_ROWS if pooled else 10**9)
+        back = data.load_dataset(path)
+        assert np.array_equal(_bits(back.x), _bits(np.array([s["x"] for s in samples])))
+        assert np.array_equal(_bits(back.y), _bits(np.array([s["y"] for s in samples])))
+        _assert_pools(pools, 1 if pooled else 0)
 
     @pytest.mark.parametrize("extra", ["row", "bad row", "bad line after"])
     def test_more_rows_than_header_match_in_process(self, tmp_path, monkeypatch, pools,

@@ -229,6 +229,18 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepSpec(axis="noise", task="synth", n=6, rates=(1, -1), base=TrainConfig())
 
+    @pytest.mark.parametrize(
+        "values, found",
+        [
+            ([0.1, float("nan")], "must be finite and positive, got nan"),
+            ([float("inf")], "must be finite and positive, got inf"),
+            ([0.1, 0.2, 0.1], "must be distinct, got 0.1 twice"),
+        ],
+    )
+    def test_spec_rejects_values_that_name_no_distinct_run(self, values, found):
+        with pytest.raises(ValueError, match=f"sweep values {found}"):
+            SweepSpec(axis="noise", values=values, base=TrainConfig())
+
     def test_outputs_written(self, tmp_path):
         spec = micro_spec(repeats=1)
         docs, agg = run_sweep(spec)

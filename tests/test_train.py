@@ -48,6 +48,12 @@ class TestMuSchedule:
             TrainConfig(mu_init=-0.1)
         TrainConfig(mu_init=0.0)  # plain regression is allowed
 
+    @pytest.mark.parametrize("name", ["lr", "mu_init", "mu_max_scale", "t_max"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_config_rejects_nonfinite_values(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value!r}"):
+            TrainConfig(**{name: value})
+
 
 class TestSplit:
     def test_fractions_and_determinism(self):
