@@ -39,10 +39,8 @@ class CliError(Exception):
 
 def _parse_config_file(path):
     values = {}
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"config file not found: {path}")
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    text = Path(_require_file(path, "config file")).read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -93,7 +91,10 @@ def _add_train_flags(sub):
 
 
 def _require_file(path, what):
-    if not Path(path).exists():
+    p = Path(path)
+    if p.is_dir():
+        raise CliError(f"{what} is a directory, not a file: {path}")
+    if not p.exists():
         raise CliError(f"{what} not found: {path}")
     return path
 
@@ -101,7 +102,7 @@ def _require_file(path, what):
 def _write_json(path, doc):
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
         fh.write("\n")
 
 

@@ -40,9 +40,12 @@ def block_polar_bwd(z, radii, d_radii, d_angles):
     return dz
 
 
-def torus_fwd(angles, freq):
+def torus_fwd(angles, freq, out):
+    """Write the characters' cos and sin side by side into the first
+    2 * len(freq) columns of `out`; returns those two column blocks."""
+    f = freq.shape[0]
     phases = angles @ freq.T
-    return np.cos(phases), np.sin(phases)
+    return np.cos(phases, out=out[:, :f]), np.sin(phases, out=out[:, f : 2 * f])
 
 
 def torus_bwd(cos_f, sin_f, d_cos, d_sin, freq):

@@ -220,14 +220,16 @@ def features_stage(z, freq):
     """Network input from aligned rows: [cos | sin | radii], one cos/sin
     pair per frequency (row of `freq`) of the block-polar torus angles."""
     radii, angles = kernels.block_polar_fwd(z)
-    cos_f, sin_f = kernels.torus_fwd(angles, freq)
     f = freq.shape[0]
+    feats = np.empty((z.shape[0], 2 * f + radii.shape[1]))
+    cos_f, sin_f = kernels.torus_fwd(angles, freq, feats)
+    feats[:, 2 * f :] = radii
 
     def vjp(g):
         d_angles = kernels.torus_bwd(cos_f, sin_f, g[:, :f], g[:, f : 2 * f], freq)
         return (kernels.block_polar_bwd(z, radii, g[:, 2 * f :], d_angles),)
 
-    return np.concatenate([cos_f, sin_f, radii], axis=1), vjp
+    return feats, vjp
 
 
 def dense_stage(h, w, b, relu):
@@ -367,11 +369,13 @@ def predict(params, x):
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    h, _ = align_stage(params.skew, x, params.reflected)
-    h, _ = features_stage(h, params.freq_matrix())
+    # Each stage's vjp, and with it the stage's input, is dropped as soon
+    # as the stage returns.
+    h = align_stage(params.skew, x, params.reflected)[0]
+    h = features_stage(h, params.freq_matrix())[0]
     last = len(params.layers) - 1
     for i, (w, b) in enumerate(params.layers):
-        h, _ = dense_stage(h, w, b, i != last)
+        h = dense_stage(h, w, b, i != last)[0]
     return h[0] if single else h
 
 
@@ -414,7 +418,7 @@ def save_checkpoint(params, path, config=None):
         "config": config or {},
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
         fh.write("\n")
 
 

@@ -361,6 +361,9 @@ def _train_single(dataset, cfg, loss_kind, restart):
             params.rates /= math.sqrt(params.rates @ params.rates)
             epoch_losses.append(float(pred_loss.value))
             epoch_penalties.append(float(penalty.value))
+            # Free this step's tape and every array its stages keep before
+            # the next step's forward or the validation pass runs.
+            del tape, objective, pred_loss, penalty, leaves
 
         val_loss = _forward_loss(params, x_val, y_val, loss_kind)
         curves["loss"].append(float(np.mean(epoch_losses)))

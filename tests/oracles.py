@@ -6,6 +6,7 @@ central finite differences for gradients.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -106,6 +107,18 @@ def max_rel_error(a_list, b_list, floor=1e-3):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
         worst = max(worst, float(np.max(np.abs(a - b) / denom)))
     return worst
+
+
+def traced_peak(func, *args):
+    """(func(*args), the most bytes tracemalloc saw allocated at once during
+    the call), with tracing on only for the call."""
+    tracemalloc.start()
+    try:
+        result = func(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def generic_objective_case(n, bandwidth, rng, hidden=6, samples=4):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import sospec.model as model
 from sospec.cli import main
 
 
@@ -119,6 +120,38 @@ class TestTrainEval:
         rc = run_cli("train", "--data", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "run"))
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("train", "--data"), ("train", "--config"), ("eval", "--checkpoint"), ("eval", "--data")],
+    )
+    def test_directory_given_as_file_exits_one(self, tmp_path, dataset_file, capsys, command,
+                                               flag):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        checkpoint = tmp_path / "ckpt.json"
+        model.save_checkpoint(model.init_params(4, 1), checkpoint, config={"seed": 0})
+        inputs = {"--data": dataset_file}
+        if command == "eval":
+            inputs = {"--checkpoint": checkpoint, **inputs}
+        inputs[flag] = folder
+        argv = [a for pair in inputs.items() for a in pair]
+        rc = run_cli(command, *map(str, argv), "--out", str(tmp_path / "out"))
+        assert rc == 1
+        assert f"is a directory, not a file: {folder}" in capsys.readouterr().err
+
+    def test_outputs_match_the_json_dump_encoding(self, tmp_path, dataset_file):
+        rc = run_cli("train", "--data", str(dataset_file), "--epochs", "2",
+                     "--warmup-epochs", "1", "--bandwidth", "1", "--restarts", "1",
+                     "--out", str(tmp_path / "run"))
+        assert rc == 0
+        for name in ("report.json", "checkpoint.json"):
+            written = (tmp_path / "run" / name).read_bytes()
+            oracle = tmp_path / f"oracle-{name}"
+            with open(oracle, "w", encoding="utf-8") as fh:
+                json.dump(json.loads(written), fh)
+                fh.write("\n")
+            assert written == oracle.read_bytes(), name
 
     def test_eval_of_nonfinite_dataset_exits_one(self, tmp_path, dataset_file, capsys):
         rc = run_cli("train", "--data", str(dataset_file), "--epochs", "2",

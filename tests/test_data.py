@@ -1,14 +1,13 @@
 import json
 import os
 import stat
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import sospec.data as data
 import sospec.pool as pool_mod
-from oracles import rational_nullspace
+from oracles import rational_nullspace, traced_peak
 from sospec.lattice import FrequencyVector, estimate_lambda, primitive_set, resonant_subset
 from sospec.lie import CanonicalForm, J2, matrix_exp, retract_orthogonal
 
@@ -220,12 +219,7 @@ class TestSerialization:
         ds = data.double_pendulum_task(20000, 0.1, seed=29)
         path = tmp_path / "ds.jsonl"
         data.save_dataset(ds, path)
-        tracemalloc.start()
-        try:
-            back = data.load_dataset(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        back, peak = traced_peak(data.load_dataset, path)
         assert np.array_equal(back.x, ds.x) and np.array_equal(back.y, ds.y)
         assert peak < 2 * (back.x.nbytes + back.y.nbytes)
 

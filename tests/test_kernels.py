@@ -24,7 +24,7 @@ class TestKernelSemantics:
     def test_torus_features_unit_circle(self):
         z, freq, _ = _random_case(3)
         _, angles = kernels.block_polar_fwd(z)
-        cos_f, sin_f = kernels.torus_fwd(angles, freq)
+        cos_f, sin_f = kernels.torus_fwd(angles, freq, np.empty((len(z), 2 * len(freq))))
         assert np.allclose(cos_f**2 + sin_f**2, 1.0, atol=1e-12)
 
     def test_adam_against_reference_loop(self):

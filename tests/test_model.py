@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import sospec.model as model
-from oracles import fd_gradient, max_rel_error, staged_objective
-from sospec import lie
+from oracles import fd_gradient, max_rel_error, staged_objective, traced_peak
+from sospec import kernels, lie
 from sospec.autodiff import Tape
 from sospec.lattice import FrequencyVector
 from sospec.lie import matrix_exp, skew_from_params
@@ -137,6 +137,16 @@ class TestFeaturize:
             assert abs(sin0[idx] - sin1[idx]) <= 1e-9
             assert np.all(np.abs(radii0 - radii1) <= 1e-9)
 
+    def test_value_is_the_kernels_blocks_side_by_side(self):
+        z = np.random.default_rng(16).normal(size=(33, 6))
+        freq = model.init_params(6, 2, seed=17).freq_matrix()
+        feats, _ = model.features_stage(z, freq)
+        # cos and sin of the same phases as separate arrays, joined by a copy.
+        radii, angles = kernels.block_polar_fwd(z)
+        phases = angles @ freq.T
+        expected = np.concatenate([np.cos(phases), np.sin(phases), radii], axis=1)
+        assert feats.tobytes() == expected.tobytes()
+
 
 class TestPredict:
     def test_zero_weights_gives_output_bias(self):
@@ -176,6 +186,15 @@ class TestPredict:
         w1[[i, j]] = w1[[j, i]]
         w1[[f + i, f + j]] = w1[[f + j, f + i]]
         assert np.allclose(model.predict(perm, x), base, atol=1e-12)
+
+    def test_holds_one_stage_at_a_time(self):
+        # Each stage's input is freed once its output exists, so the peak
+        # stays below two copies of the widest array, the features.
+        params = model.init_params(6, 2, seed=18)
+        x = np.random.default_rng(19).normal(size=(6400, 6))
+        out, peak = traced_peak(model.predict, params, x)
+        assert out.shape == (6400, 1)
+        assert peak < 2 * x.shape[0] * params.feature_dim * 8
 
 
 class TestCoefficientNorms:

@@ -1,4 +1,6 @@
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -313,6 +315,38 @@ class TestFlatParameters:
                 assert np.any(part != 0.0)
                 assert np.array_equal(part, leaf.grad.ravel())
         assert offset == grad.size
+
+
+class TestStepLifetime:
+    def test_each_tape_is_freed_before_the_next_forward(self, monkeypatch):
+        cf = CanonicalForm(np.eye(4), np.array([1.0, -1.0]) / np.sqrt(2.0))
+        ds = synth_invariant_regression(cf, 400, 0.1, seed=8, bandwidth=1)
+        cfg = TrainConfig(epochs=2, warmup_epochs=1, bandwidth=1, hidden=8, restarts=1)
+        tapes, checks = [], []
+        build, forward_loss = model.build_objective, train_mod._forward_loss
+
+        def last_tape_dead():
+            return not tapes or tapes[-1]() is None
+
+        def spy_build(tape, *args, **kwargs):
+            checks.append(("build", last_tape_dead()))
+            tapes.append(weakref.ref(tape))
+            return build(tape, *args, **kwargs)
+
+        def spy_forward_loss(*args):
+            checks.append(("validation", last_tape_dead()))
+            return forward_loss(*args)
+
+        monkeypatch.setattr(model, "build_objective", spy_build)
+        monkeypatch.setattr(train_mod, "_forward_loss", spy_forward_loss)
+        gc.disable()  # only reference counting may free the tapes
+        try:
+            train_mod._train_single(ds, cfg, "squared-error", 0)
+        finally:
+            gc.enable()
+        assert [kind for kind, _ in checks].count("validation") == 2
+        assert len(tapes) == 2 * 3  # 320 training rows in batches of 128
+        assert all(dead for _, dead in checks), checks
 
 
 class TestDiscover:
