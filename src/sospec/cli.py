@@ -29,7 +29,7 @@ from .train import RunReport, TrainConfig, evaluate_params, train
 TASKS = ("pendulum6d", "synth", "synth-cls")
 
 # TrainConfig fields settable via config file or flags, with the plain
-# type (int, float or str) that parses each from text.
+# type (int or float) that parses each from text.
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 
 
@@ -83,10 +83,7 @@ def _add_train_flags(sub):
     sub.add_argument("--warmup-epochs", dest="warmup_epochs", type=int)
     sub.add_argument("--bandwidth", type=int)
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--loss", choices=("auto", "squared-error", "logistic"))
     sub.add_argument("--hidden", type=int)
-    sub.add_argument("--rel-threshold", dest="rel_threshold", type=float)
-    sub.add_argument("--mu-ramp", dest="mu_ramp", choices=("linear", "constant"))
     sub.add_argument("--restarts", type=int)
 
 
@@ -165,6 +162,8 @@ def cmd_train(args):
 def cmd_eval(args):
     params, saved_cfg = model.load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     ds = load_dataset(_require_file(args.data, "dataset"))
+    # Skips resolvedLoss, and the protocol values older checkpoints carry as
+    # settings that are now fixed (loss, mu_ramp, rel_threshold, ...).
     cfg_fields = {k: v for k, v in saved_cfg.items() if k in _CONFIG_FIELDS}
     if not cfg_fields:
         raise CliError("checkpoint carries no training configuration")
@@ -194,8 +193,6 @@ def _parse_values(raw, axis):
 
 
 def cmd_sweep(args):
-    if args.jobs < 1:
-        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     base = build_train_config(args)
     spec = SweepSpec(
         axis=args.axis,
@@ -210,7 +207,6 @@ def cmd_sweep(args):
     )
     docs, agg = run_sweep(
         spec,
-        jobs=args.jobs,
         progress=lambda doc: print(
             f"  run axis={doc['sweep']['value']} rep={doc['sweep']['repeat']}"
             + (f" FAILED: {doc['failureReason']}" if doc.get("failureReason") else ""),
@@ -324,7 +320,6 @@ def build_parser():
     sw.add_argument("--rates")
     sw.add_argument("--n-samples", dest="n_samples", type=int, default=8000)
     sw.add_argument("--sigma", type=float, default=0.1)
-    sw.add_argument("--jobs", type=int, default=1, help="most runs at once, capped at the CPUs")
     sw.add_argument("--out", required=True, help="output directory")
     _add_train_flags(sw)
     sw.set_defaults(func=cmd_sweep)

@@ -14,7 +14,7 @@ from .data import (
     synth_invariant_regression,
 )
 from .lie import CanonicalForm, retract_orthogonal
-from .pool import worker_count, worker_pool
+from .pool import run_in_order, worker_count
 from .train import TrainConfig, train
 
 NOISE_VALUES = [round(0.1 * k, 1) for k in range(1, 11)]
@@ -44,6 +44,10 @@ class SweepSpec:
             raise ValueError("repeats must be at least 1")
         if self.task not in ("synth", "pendulum6d"):
             raise ValueError(f"unknown sweep task {self.task!r}")
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples must be positive, got {self.n_samples}")
+        if self.task == "synth" and self.n % 2 != 0:
+            raise ValueError(f"ambient dimension must be even, got {self.n}")
         if self.task == "synth" and self.rates is not None and len(self.rates) != self.n // 2:
             raise ValueError(f"need {self.n // 2} rates for n={self.n}, got {self.rates}")
 
@@ -134,45 +138,35 @@ def aggregate(spec, run_docs):
     return {"axis": spec.axis, "points": points}
 
 
-def run_sweep(spec, jobs=1, progress=None):
-    """All runs of the grid; returns (per-run report dicts, aggregate dict).
-
-    With jobs > 1 the runs go to a `worker_pool` of at most `jobs`
-    processes, capped at the number of runs by `worker_count` (which also
-    keeps them in-process inside a pool worker or where the platform
-    cannot fork). Each worker is held to one BLAS thread; `train` sees it
-    is in a pool worker and trains its restarts in-process, so pools do not
-    nest. Otherwise the runs go one after another and each `train` picks
-    its own worker count.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    cells = [(i, rep) for i in range(len(spec.values)) for rep in range(spec.repeats)]
-    workers = worker_count(min(jobs, len(cells)))
-    docs = []
-    if workers > 1:
-        with worker_pool(workers) as executor:
-            futures = [executor.submit(run_one, spec, i, rep) for i, rep in cells]
-            for cell, fut in zip(cells, futures):
-                docs.append(_collect(spec, cell, fut.result, progress))
-    else:
-        for cell in cells:
-            docs.append(_collect(spec, cell, lambda c=cell: run_one(spec, *c), progress))
-    return docs, aggregate(spec, docs)
-
-
-def _collect(spec, cell, thunk, progress):
-    i, rep = cell
+def _run_cell(spec, value_index, repeat):
+    """`run_one`'s report dict, or a failure doc naming the exception it
+    raised."""
     try:
-        doc = thunk()
+        return run_one(spec, value_index, repeat)
     except Exception as exc:  # record, keep sweeping
-        doc = {
-            "sweep": {"axis": spec.axis, "value": spec.values[i], "repeat": rep},
+        return {
+            "sweep": {"axis": spec.axis, "value": spec.values[value_index], "repeat": repeat},
             "failureReason": f"{type(exc).__name__}: {exc}",
         }
-    if progress is not None:
-        progress(doc)
-    return doc
+
+
+def run_sweep(spec, progress=None):
+    """All runs of the grid; returns (per-run report dicts, aggregate dict).
+
+    The runs go through `pool.run_in_order` in `worker_count(runs)`
+    processes. Pool workers are forked and held to one BLAS thread, and
+    `train` in a pool worker trains its restarts in-process, so pools do
+    not nest. With one process the runs go one after another here, and
+    each `train` picks its own worker count. `progress`, if given, is
+    called with each run's dict in grid order.
+    """
+    cells = [(i, rep) for i in range(len(spec.values)) for rep in range(spec.repeats)]
+    docs = []
+    for doc in run_in_order(_run_cell, spec, cells, worker_count(len(cells))):
+        if progress is not None:
+            progress(doc)
+        docs.append(doc)
+    return docs, aggregate(spec, docs)
 
 
 def write_sweep_outputs(out_dir, docs, agg):

@@ -1,7 +1,7 @@
 """Training loop: Adam on the joint objective with a resonance warm-up.
 
 The penalty weight mu is held at mu_init for warmup_epochs, then ramped
-(linearly by default) to mu_init * mu_max_scale at the last epoch. Rates
+linearly to mu_init * mu_max_scale at the last epoch. Rates
 are renormalized to the unit sphere after every optimizer step, which rules
 out the trivial zero-rate penalty minimizer; their scale is not
 identifiable anyway. The checkpoint with the best validation prediction
@@ -26,6 +26,16 @@ ADAM_EPS = 1e-8
 TRAIN_FRAC = 0.8
 VAL_FRAC = 0.1
 
+# Invariance error protocol: up to INV_X_SAMPLES test rows, each moved by
+# INV_T_SAMPLES flow times drawn uniformly from [-T_MAX, T_MAX].
+INV_X_SAMPLES = 256
+INV_T_SAMPLES = 16
+T_MAX = math.pi
+
+# A first-layer frequency survives when its coefficient norm reaches this
+# fraction of the largest one.
+REL_THRESHOLD = 0.1
+
 # Salts for the independent random streams of a run.
 _SALT_INIT, _SALT_SPLIT, _SALT_BATCH, _SALT_EVAL = 0, 1, 2, 3
 
@@ -47,14 +57,8 @@ class TrainConfig:
     warmup_epochs: int = 10
     bandwidth: int = 2
     seed: int = 0
-    loss: str = "auto"  # auto | squared-error | logistic
     hidden: int = 64
-    rel_threshold: float = 0.1
-    mu_ramp: str = "linear"  # linear | constant
     restarts: int = 2
-    inv_x_samples: int = 256
-    inv_t_samples: int = 16
-    t_max: float = math.pi
 
     def __post_init__(self):
         for name in (
@@ -65,25 +69,16 @@ class TrainConfig:
             "warmup_epochs",
             "bandwidth",
             "hidden",
-            "inv_x_samples",
-            "inv_t_samples",
-            "t_max",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.mu_init < 0:  # zero switches the penalty off (plain regression)
             raise ValueError("mu_init must be nonnegative")
-        for name in ("lr", "mu_init", "mu_max_scale", "t_max"):
+        for name in ("lr", "mu_init", "mu_max_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.warmup_epochs > self.epochs:
             raise ValueError("warmup_epochs must not exceed epochs")
-        if self.loss not in ("auto", "squared-error", "logistic"):
-            raise ValueError(f"unknown loss {self.loss!r}")
-        if self.mu_ramp not in ("linear", "constant"):
-            raise ValueError(f"unknown mu ramp {self.mu_ramp!r}")
-        if not 0.0 < self.rel_threshold < 1.0:
-            raise ValueError("rel_threshold must lie in (0, 1)")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
 
@@ -148,11 +143,11 @@ class RunReport:
 
 
 def mu_schedule(epoch, cfg):
-    """Penalty weight for an epoch: flat warm-up, then a ramp to
+    """Penalty weight for an epoch: flat warm-up, then a linear ramp to
     mu_init * mu_max_scale at the final epoch."""
     if not 0 <= epoch < cfg.epochs:
         raise ValueError(f"epoch {epoch} outside 0..{cfg.epochs - 1}")
-    if epoch < cfg.warmup_epochs or cfg.mu_ramp == "constant":
+    if epoch < cfg.warmup_epochs:
         return cfg.mu_init
     last = cfg.epochs - 1
     if last <= cfg.warmup_epochs:
@@ -198,9 +193,9 @@ def split_indices(n, seed):
     return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
 
 
-def resolve_loss(cfg, meta):
-    if cfg.loss != "auto":
-        return cfg.loss
+def resolve_loss(meta):
+    """The loss a dataset trains with: logistic for binary outputs,
+    squared error otherwise."""
     return "logistic" if meta.output_kind == "binary" else "squared-error"
 
 
@@ -216,7 +211,7 @@ class DiscoveryResult:
     agreement: float
 
 
-def discover(params, rel_threshold=0.1):
+def discover(params):
     """Reconstruct the generator from trained parameters, two ways.
 
     Direct: assemble from the learned alignment and rates (canonicalized to
@@ -229,7 +224,7 @@ def discover(params, rel_threshold=0.1):
     cf = params.canonical_form()
     direct = assemble_generator(cf)
     coeffs = model.coefficient_norms(params)
-    surviving = surviving_frequencies(coeffs, rel_threshold)
+    surviving = surviving_frequencies(coeffs, REL_THRESHOLD)
     rates_hat, nullity = estimate_lambda(surviving, params.r)
     if params.reflected:
         rates_hat = rates_hat.copy()
@@ -252,22 +247,21 @@ def _forward_loss(params, x, y, loss_kind):
     return float(model.loss_stage(model.predict(params, x), y, loss_kind)[0])
 
 
-def evaluate_params(params, ds, cfg, report, loss_kind=None):
+def evaluate_params(params, ds, cfg, report):
     """Fill `report` with held-out metrics and generator recovery for
     trained parameters.
 
     Shared by the trainer and standalone checkpoint evaluation so the two
     produce identical numbers for identical inputs.
     """
-    loss_kind = loss_kind or resolve_loss(cfg, ds.meta)
     _, _, test_idx = split_indices(len(ds), cfg.seed)
     x_test, y_test = ds.x[test_idx], ds.y[test_idx]
-    if loss_kind == "squared-error":
+    if resolve_loss(ds.meta) == "squared-error":
         report.test_mse = metrics.test_mse(params, x_test, y_test)
     else:
         report.accuracy = metrics.accuracy(params, x_test, y_test)
 
-    disc = discover(params, cfg.rel_threshold)
+    disc = discover(params)
     report.estimator_agreement = disc.agreement
     report.recovered_rates = disc.rates_learned.tolist()
     report.spectral_rates = disc.rates_spectral.tolist()
@@ -278,9 +272,9 @@ def evaluate_params(params, ds, cfg, report, loss_kind=None):
     true_gen = ds.meta.true_generator
     if true_gen is not None:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SALT_EVAL]))
-        take = min(cfg.inv_x_samples, x_test.shape[0])
+        take = min(INV_X_SAMPLES, x_test.shape[0])
         xs = x_test[rng.choice(x_test.shape[0], size=take, replace=False)]
-        ts = rng.uniform(-cfg.t_max, cfg.t_max, size=cfg.inv_t_samples)
+        ts = rng.uniform(-T_MAX, T_MAX, size=INV_T_SAMPLES)
         report.invariance_error = metrics.invariance_error(params, xs, true_gen, ts)
         report.cosine_similarity = generator_cosine_similarity(disc.direct, true_gen)
         report.cosine_similarity_spectral = generator_cosine_similarity(disc.spectral, true_gen)
@@ -422,11 +416,17 @@ def train(dataset, cfg):
 
     A restart whose objective goes non-finite is recorded in
     restartFailures and left out of the choice; if every restart fails the
-    result is (None, report) with failure_reason set.
+    result is (None, report) with failure_reason set. A dataset too small
+    to give every split a row raises ValueError before any restart starts.
     """
+    if not all(part.size for part in split_indices(len(dataset), cfg.seed)):
+        raise ValueError(
+            f"a dataset of {len(dataset)} rows leaves its train, validation or test "
+            "split empty; training needs at least 10 rows"
+        )
     start = time.perf_counter()
     workers = _restart_workers(dataset, cfg)
-    loss_kind = resolve_loss(cfg, dataset.meta)
+    loss_kind = resolve_loss(dataset.meta)
     report = RunReport(
         task=dataset.meta.task,
         seed=cfg.seed,
@@ -451,6 +451,6 @@ def train(dataset, cfg):
     report.penalty_curve = curves["penalty"]
     report.val_curve = curves["val"]
     report.mu_curve = curves["mu"]
-    evaluate_params(best_params, dataset, cfg, report, loss_kind)
+    evaluate_params(best_params, dataset, cfg, report)
     report.wall_clock = time.perf_counter() - start
     return best_params, report

@@ -1,10 +1,13 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import sospec.model as model
-from sospec.cli import main
+from sospec.cli import build_parser, main
+from sospec.train import TrainConfig
 
 
 def run_cli(*argv):
@@ -99,6 +102,62 @@ class TestTrainEval:
         assert doc["config"]["seed"] == 12  # flag wins
         assert doc["config"]["lr"] == 1e-3  # file value survives
         assert doc["config"]["epochs"] == 4
+
+    def test_checkpoint_with_removed_config_keys_still_evaluates(self, tmp_path, dataset_file):
+        rc = run_cli("train", "--data", str(dataset_file), "--epochs", "2",
+                     "--warmup-epochs", "1", "--bandwidth", "1", "--seed", "5",
+                     "--out", str(tmp_path / "run"))
+        assert rc == 0
+        path = tmp_path / "run" / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        # the settable values older checkpoints carry, at their defaults
+        doc["config"].update(loss="auto", mu_ramp="linear", rel_threshold=0.1,
+                             inv_x_samples=256, inv_t_samples=16, t_max=np.pi)
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        rc = run_cli("eval", "--checkpoint", str(old), "--data", str(dataset_file),
+                     "--out", str(tmp_path / "eval.json"))
+        assert rc == 0
+        train_doc = json.loads((tmp_path / "run" / "report.json").read_text())
+        eval_doc = json.loads((tmp_path / "eval.json").read_text())
+        for key in ("testMse", "accuracy", "invarianceError", "cosineSimilarity",
+                    "cosineSimilaritySpectral", "estimatorAgreement", "recoveredLambda",
+                    "spectralLambda", "nullity", "lambdaReliable", "survivingFrequencies"):
+            assert train_doc[key] == eval_doc[key], key
+        assert eval_doc["config"] == doc["config"]
+
+    @pytest.mark.parametrize(
+        "line",
+        ["loss = logistic", "mu_ramp = constant", "rel_threshold = 0.2", "inv_x_samples = 64",
+         "inv_t_samples = 4", "t_max = 1.0"],
+    )
+    def test_removed_config_key_rejected(self, tmp_path, dataset_file, capsys, line):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"epochs = 4\n{line}\n")
+        rc = run_cli("train", "--data", str(dataset_file), "--config", str(cfg),
+                     "--out", str(tmp_path / "run"))
+        assert rc == 1
+        key = line.split(" = ")[0]
+        assert f"{cfg}:2: unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_train_flags_are_the_config_fields(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in commands.choices["train"]._actions} - {"help"}
+        fields = {f.name for f in dataclasses.fields(TrainConfig)}
+        assert dests - {"config", "data", "out"} == fields
+
+    def test_dataset_too_small_to_split_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "nine.jsonl"
+        assert run_cli("gen-data", "--task", "pendulum6d", "--n-samples", "9",
+                       "--out", str(data)) == 0
+        rc = run_cli("train", "--data", str(data), "--epochs", "2", "--warmup-epochs", "1",
+                     "--out", str(tmp_path / "run"))
+        assert rc == 1
+        assert ("error: a dataset of 9 rows leaves its train, validation or test split empty"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, dataset_file):
         cfg = tmp_path / "bad.cfg"
@@ -281,8 +340,8 @@ class TestSweepAndReport:
     @pytest.mark.parametrize(
         "flags, found",
         [
-            (("--jobs", "0"), "--jobs must be at least 1, got 0"),
-            (("--jobs", "-3"), "--jobs must be at least 1, got -3"),
+            (("--n", "5"), "ambient dimension must be even, got 5"),
+            (("--n-samples", "-3"), "n_samples must be positive, got -3"),
             (("--values", "0.1", "abc"), "bad --values '0.1 abc': could not convert"),
             (("--values", "nan"), "bad --values 'nan': sweep values must be finite and "
                                   "positive, got nan"),

@@ -93,6 +93,11 @@ class TestAccuracy:
         assert accuracy(params, x, np.zeros((12, 1))) == 0.0
 
 
+def _pools_fork():
+    """Whether `pool.worker_count` can give a job more than one process."""
+    return pool_mod._HAVE_FORK and pool_mod._blas_thread_calls() is not None
+
+
 def micro_spec(**kw):
     base = TrainConfig(epochs=4, warmup_epochs=2, bandwidth=1, seed=0)
     defaults = dict(
@@ -147,18 +152,22 @@ class TestSweep:
         assert by_value[0.4]["nRuns"] == 0
         assert by_value[0.4]["meanCos"] is None
 
-    def test_fanned_out_sweep_matches_in_process(self):
+    def test_fanned_out_sweep_matches_in_process(self, monkeypatch):
         spec = micro_spec(values=[0.2, 0.4])
-        runs = {jobs: run_sweep(spec, jobs=jobs) for jobs in (1, 2)}
-        for docs, _ in runs.values():
+        pooled = run_sweep(spec)
+        monkeypatch.setattr(sweep_mod, "worker_count", lambda tasks: 1)
+        in_process = run_sweep(spec)
+        for docs, _ in (pooled, in_process):
             for doc in docs:
                 assert doc.pop("wallClock") is not None
-        assert runs[2] == runs[1]
-        assert len(runs[1][0]) == 4 and not any(d["failureReason"] for d in runs[1][0])
+        assert pooled == in_process
+        assert len(pooled[0]) == 4 and not any(d["failureReason"] for d in pooled[0])
 
-    @pytest.mark.parametrize("jobs, train_workers", [(1, None), (2, 1)])
-    def test_fanned_out_sweep_trains_in_process(self, monkeypatch, jobs, train_workers):
+    @pytest.mark.parametrize("sweep_workers, train_workers", [(1, None), (2, 1)])
+    def test_fanned_out_sweep_trains_in_process(self, monkeypatch, sweep_workers, train_workers):
         # train_workers None: each run's train picks its own worker count
+        if sweep_workers > 1 and not _pools_fork():
+            pytest.skip("this platform keeps every job in-process")
         big, cfg = _zeros(4000), TrainConfig()
         parent = os.getpid()
 
@@ -170,21 +179,28 @@ class TestSweep:
             return None, RunReport(task=ds.meta.task, seed=cfg.seed, config=config)
 
         monkeypatch.setattr(sweep_mod, "train", record_workers)
-        docs, _ = run_sweep(micro_spec(), jobs=jobs)
+        monkeypatch.setattr(sweep_mod, "worker_count", lambda tasks: sweep_workers)
+        docs, _ = run_sweep(micro_spec())
         expected = train_mod._restart_workers(big, cfg) if train_workers is None else train_workers
         assert len(docs) == 2 and not any(d.get("failureReason") for d in docs)
-        assert [d["config"] for d in docs] == [{"workers": expected, "inWorker": jobs > 1}] * 2
+        assert [d["config"] for d in docs] == [
+            {"workers": expected, "inWorker": sweep_workers > 1}
+        ] * 2
 
-    @pytest.mark.parametrize("jobs, cells, workers", [(1000, 4, 4), (3, 4, 3), (2, 1, None)])
-    def test_jobs_capped_at_cells_and_cpus(self, monkeypatch, jobs, cells, workers):
-        # a stub pool: no process is started, whatever count it is asked for
-        if not (pool_mod._HAVE_FORK and pool_mod._blas_thread_calls() is not None):
+    @pytest.mark.parametrize("cpus, cells, workers", [(1000, 4, 4), (3, 4, 3), (2, 1, None)])
+    def test_jobs_capped_at_cells_and_cpus(self, monkeypatch, cpus, cells, workers):
+        # workers None: no pool, the one run goes in-process
+        if not _pools_fork():
             pytest.skip("this platform keeps every job in-process")
         asked = []
 
         class StubPool:
-            def __init__(self, count):
+            """Runs each task here: no process is started, whatever count it
+            is asked for."""
+
+            def __init__(self, count, shared):
                 asked.append(count)
+                monkeypatch.setattr(pool_mod, "_worker_shared", shared)
 
             def __enter__(self):
                 return self
@@ -197,23 +213,25 @@ class TestSweep:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(sweep_mod, "worker_pool", StubPool)
+        monkeypatch.setattr(pool_mod, "worker_pool", StubPool)
         monkeypatch.setattr(sweep_mod, "run_one", lambda spec, i, rep: {"sweep": {
             "axis": spec.axis, "value": spec.values[i], "repeat": rep}})
-        monkeypatch.setattr(pool_mod.os, "sched_getaffinity", lambda pid: set(range(64)),
+        monkeypatch.setattr(pool_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-        docs, _ = run_sweep(micro_spec(repeats=cells), jobs=jobs)
-        assert len(docs) == cells
+        docs, _ = run_sweep(micro_spec(repeats=cells))
+        assert [d["sweep"]["repeat"] for d in docs] == list(range(cells))
         assert asked == ([] if workers is None else [workers])
-        monkeypatch.setattr(pool_mod.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        asked.clear()
-        run_sweep(micro_spec(repeats=cells), jobs=jobs)
-        assert asked == ([] if workers is None else [2])
+        assert pool_mod.worker_count(cells) == (workers or 1)
 
-    @pytest.mark.parametrize("jobs", [0, -3])
-    def test_jobs_below_one_rejected(self, jobs):
-        with pytest.raises(ValueError, match="jobs must be at least 1"):
-            run_sweep(micro_spec(), jobs=jobs)
+    def test_progress_sees_each_run_in_grid_order(self, monkeypatch):
+        monkeypatch.setattr(sweep_mod, "run_one", lambda spec, i, rep: {"sweep": {
+            "axis": spec.axis, "value": spec.values[i], "repeat": rep}})
+        seen = []
+        docs, _ = run_sweep(micro_spec(values=[0.2, 0.4], repeats=2), progress=seen.append)
+        assert seen == docs
+        assert [(d["sweep"]["value"], d["sweep"]["repeat"]) for d in docs] == [
+            (0.2, 0), (0.2, 1), (0.4, 0), (0.4, 1)
+        ]
 
     def test_default_axis_values(self):
         spec = SweepSpec(axis="noise", base=TrainConfig())
@@ -228,6 +246,11 @@ class TestSweep:
             SweepSpec(axis="noise", values=[0.1, -0.2], base=TrainConfig())
         with pytest.raises(ValueError):
             SweepSpec(axis="noise", task="synth", n=6, rates=(1, -1), base=TrainConfig())
+        with pytest.raises(ValueError, match="ambient dimension must be even, got 5"):
+            SweepSpec(axis="noise", task="synth", n=5, rates=(1, -1), base=TrainConfig())
+        with pytest.raises(ValueError, match="n_samples must be positive, got 0"):
+            SweepSpec(axis="noise", n_samples=0, base=TrainConfig())
+        SweepSpec(axis="noise", task="pendulum6d", n=5, base=TrainConfig())  # n is unused
 
     @pytest.mark.parametrize(
         "values, found",

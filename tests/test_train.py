@@ -34,7 +34,8 @@ class TestMuSchedule:
         assert max(values) <= cfg.mu_init * cfg.mu_max_scale + 1e-15
 
     def test_constant_ramp(self):
-        cfg = TrainConfig(mu_ramp="constant")
+        # the linear ramp to mu_init * 1.0 holds mu at mu_init exactly
+        cfg = TrainConfig(mu_max_scale=1.0)
         assert all(mu_schedule(e, cfg) == cfg.mu_init for e in range(cfg.epochs))
 
     def test_epoch_out_of_range(self):
@@ -50,7 +51,7 @@ class TestMuSchedule:
             TrainConfig(mu_init=-0.1)
         TrainConfig(mu_init=0.0)  # plain regression is allowed
 
-    @pytest.mark.parametrize("name", ["lr", "mu_init", "mu_max_scale", "t_max"])
+    @pytest.mark.parametrize("name", ["lr", "mu_init", "mu_max_scale"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_config_rejects_nonfinite_values(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite, got {value!r}"):
@@ -139,6 +140,21 @@ class TestTrainBehavior:
         assert params is None
         assert report.failure_reason is not None
         assert report.test_mse is None
+
+    @pytest.mark.parametrize("rows", [2, 9])
+    def test_dataset_too_small_to_split_rejected_before_training(self, monkeypatch, rows):
+        def no_restart(*args):
+            raise AssertionError("a restart started")
+
+        monkeypatch.setattr(train_mod, "_train_single", no_restart)
+        with pytest.raises(ValueError, match=f"a dataset of {rows} rows leaves its train, "
+                                             "validation or test split empty"):
+            train(_restart_dataset(rows, seed=4), micro_config())
+
+    def test_ten_rows_fill_every_split(self):
+        assert [part.size for part in split_indices(10, seed=4)] == [8, 1, 1]
+        params, report = train(_restart_dataset(10, seed=4), micro_config(restarts=1))
+        assert params is not None and report.test_mse is not None
 
     def test_penalty_curve_matches_resonance_penalty(self):
         # tracked penalty values are nonnegative and the final one agrees
@@ -364,7 +380,7 @@ class TestDiscover:
     def test_true_frame_resonant_weights(self):
         params = self._true_frame_params()
         truth = assemble_generator(CanonicalForm(np.eye(4), params.rates))
-        disc = discover(params, rel_threshold=0.1)
+        disc = discover(params)
         assert generator_cosine_similarity(disc.direct, truth) == pytest.approx(1.0, abs=1e-12)
         assert generator_cosine_similarity(disc.spectral, truth) == pytest.approx(1.0, abs=1e-9)
         assert disc.agreement == pytest.approx(1.0, abs=1e-9)
@@ -378,13 +394,13 @@ class TestDiscover:
         w1[:] = 0.0
         w1[idx01, 0] = 1.0
         w1[idx10, 0] = 1.0
-        disc = discover(params, rel_threshold=0.1)
+        disc = discover(params)
         assert disc.nullity == 0
         assert not disc.reliable
 
     def test_spectral_estimate_from_single_ray(self):
         params = self._true_frame_params()
-        disc = discover(params, rel_threshold=0.1)
+        disc = discover(params)
         expected = assemble_generator(
             CanonicalForm(np.eye(4), np.array([1.0, -1.0]) / np.sqrt(2.0))
         )
