@@ -1,4 +1,4 @@
-"""Command-line surface: gen-data, train, eval, sweep, report.
+"""Command-line surface: gen-data, train, eval, sweep, report, study.
 
 All randomness flows from --seed. Flags override values from --config
 (flat `key = value` text); every effective knob is echoed into the run
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import model
+from . import model, study
 from .data import (
     double_pendulum_task,
     load_dataset,
@@ -96,10 +96,10 @@ def _require_file(path, what):
     return path
 
 
-def _write_json(path, doc):
+def _write_json(path, doc, indent=None):
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))
+        fh.write(json.dumps(doc, indent=indent))
         fh.write("\n")
 
 
@@ -114,6 +114,13 @@ def _parse_rates(raw):
 
 
 def cmd_gen_data(args):
+    # A synth target is scaled by its standard deviation over the sample,
+    # which one sample leaves at zero.
+    least = 1 if args.task == "pendulum6d" else 2
+    if args.n_samples < least:
+        raise CliError(
+            f"--n-samples must be at least {least} for task {args.task}, got {args.n_samples}"
+        )
     if args.task == "pendulum6d":
         if args.n not in (None, 6):
             raise CliError("pendulum6d is a 6-dimensional task")
@@ -273,6 +280,26 @@ def cmd_report(args):
     return 0
 
 
+def cmd_study(args):
+    names = args.family or list(study.FAMILIES)
+    doc = study.run_study(
+        list(dict.fromkeys(names)),
+        progress=lambda name, row: print(
+            f"  {name} seed={row['seed']} |cos|={row['cos']} reliable={row['reliable']}"
+            + (f" FAILED: {row['failureReason']}" if row["failureReason"] else ""),
+            flush=True,
+        ),
+    )
+    _write_json(args.out, doc, indent=1)  # a table to read and diff
+    for name, fam in doc["families"].items():
+        print(
+            f"study: {name} recovered {fam['hits']}/{fam['runs']}, "
+            f"reliable on {fam['reliableOnHits']} hits and {fam['reliableOnMisses']} misses"
+        )
+    print(f"study: flag precision {doc['flagPrecision']} -> {args.out}")
+    return 0
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
@@ -327,6 +354,11 @@ def build_parser():
     rp = sub.add_parser("report", help="consolidate run reports into a table")
     rp.add_argument("--dir", required=True)
     rp.set_defaults(func=cmd_report)
+
+    st = sub.add_parser("study", help="recovery rate and flag precision over many seeds")
+    st.add_argument("--family", action="append", choices=list(study.FAMILIES))
+    st.add_argument("--out", default="BENCH_seedstudy.json")
+    st.set_defaults(func=cmd_study)
     return parser
 
 

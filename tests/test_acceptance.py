@@ -21,7 +21,7 @@ from oracles import (
 )
 from sospec.autodiff import Tape
 from sospec.cli import main as cli_main
-from sospec.data import double_pendulum_task, synth_invariant_regression
+from sospec.data import double_pendulum_task
 from sospec.lattice import (
     FrequencyVector,
     TorusPoint,
@@ -35,9 +35,9 @@ from sospec.lie import (
     gauge_equivalent,
     generator_cosine_similarity,
     matrix_exp,
-    retract_orthogonal,
     skew_from_params,
 )
+from sospec.study import rotated_4d_config, rotated_4d_task
 from sospec.sweep import SweepSpec, run_sweep
 from sospec.train import TrainConfig, train
 
@@ -61,26 +61,11 @@ def test_criterion_1_pendulum_generator_recovery():
     report_line(1, "pendulum 6d generator recovery", f"mean |cos|={mean_cos:.5f}")
 
 
-def rotated_4d_config(seed):
-    """Task config for the randomly-aligned 4-d problem: a stronger penalty
-    and two committed restart pairs per alignment parity, so the run
-    explores both frequency-ray hypotheses and validation picks the one
-    with an exact continuation. 60 epochs; each run stays well under the
-    5-minute budget."""
-    return TrainConfig(seed=seed, bandwidth=1, epochs=60, mu_init=0.4, restarts=4)
-
-
 def test_criterion_2_rotated_4d_recovery():
     """Random alignment, rates (1,-1)/sqrt(2), N=8000, sigma=0.1, 3 seeds."""
     values, inv_errors = [], []
     for seed in (1, 2, 3):
-        rng = np.random.default_rng(100 + seed)
-        cf = CanonicalForm(
-            retract_orthogonal(rng.standard_normal((4, 4))),
-            np.array([1.0, -1.0]) / np.sqrt(2.0),
-        )
-        ds = synth_invariant_regression(cf, 8000, 0.1, seed=200 + seed, bandwidth=2)
-        _, rep = train(ds, rotated_4d_config(seed))
+        _, rep = train(rotated_4d_task(seed), rotated_4d_config(seed))
         assert rep.failure_reason is None
         assert rep.wall_clock <= 300.0
         values.append(abs(rep.cosine_similarity))

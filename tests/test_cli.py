@@ -61,6 +61,21 @@ class TestGenData:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "task, n_samples",
+        [("pendulum6d", "0"), ("pendulum6d", "-2"), ("synth", "0"), ("synth", "1"),
+         ("synth-cls", "1")],
+    )
+    def test_too_few_samples_exits_one_naming_the_flag(self, tmp_path, capsys, task, n_samples):
+        out = tmp_path / "x.jsonl"
+        rc = run_cli("gen-data", "--task", task, "--n-samples", n_samples, "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --n-samples must be at least")
+        assert f"got {n_samples}" in err and "Warning" not in err
+        assert not out.exists()
+
+
 class TestTrainEval:
     def test_train_writes_outputs_and_is_deterministic(self, tmp_path, dataset_file):
         args = ["train", "--data", str(dataset_file), "--epochs", "4",
