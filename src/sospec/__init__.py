@@ -1,7 +1,8 @@
 """Joint prediction and discovery of one-parameter rotational symmetries.
 
 The pipeline aligns inputs with a learnable rotation, reads off planar
-radii and torus angles, feeds primitive torus Fourier features to an MLP,
+radii and unit block coordinates, feeds the torus characters of primitive
+frequencies (products of powers of those coordinates) to an MLP,
 and penalizes spectral mass off the resonance hyperplane of the learned
 rotation rates. The trained parameters reconstruct the skew-symmetric
 generator of the latent subgroup.

@@ -2,11 +2,12 @@
 
 Inputs are rotated into a learned frame (the alignment is the exponential
 of free skew parameters, so it stays in SO(n) by construction), split into
-2-d blocks, and converted to radii and torus angles. The network consumes
-cosine/sine pairs of primitive frequency combinations of the angles plus
-the radii. Rotation rates enter only through the resonance penalty, which
-suppresses first-layer mass on features whose frequency is not orthogonal
-to the rates.
+2-d blocks, and converted to radii and unit block coordinates, points on
+the torus. The network consumes the radii and the cosine/sine pairs of the
+torus characters of primitive frequencies, each character a product of
+powers of the unit block coordinates. Rotation rates enter only through
+the resonance penalty, which suppresses first-layer mass on features
+whose frequency is not orthogonal to the rates.
 
 The pipeline is a fixed chain of closed-form stages: align, features, one
 dense stage per layer, the loss and the penalty. Each is a plain function
@@ -218,11 +219,12 @@ def align_stage(skew, x, reflected):
 
 def features_stage(z, freq):
     """Network input from aligned rows: [cos | sin | radii], one cos/sin
-    pair per frequency (row of `freq`) of the block-polar torus angles."""
-    radii, angles = kernels.block_polar_fwd(z)
+    pair per frequency (row of `freq`): the real and imaginary parts of its
+    character, a product of powers of the unit block coordinates."""
+    radii, unit = kernels.block_polar_fwd(z)
     f = freq.shape[0]
     feats = np.empty((z.shape[0], 2 * f + radii.shape[1]))
-    cos_f, sin_f = kernels.torus_fwd(angles, freq, feats)
+    cos_f, sin_f = kernels.torus_fwd(unit, freq, feats)
     feats[:, 2 * f :] = radii
 
     def vjp(g):

@@ -1,4 +1,7 @@
+import itertools
+
 import numpy as np
+import pytest
 
 from sospec import kernels
 
@@ -10,22 +13,68 @@ def _random_case(seed, b=64, n=6, f=13):
     return z, freq, rng
 
 
+def _characters(z, freq):
+    """torus_fwd's cos and sin columns for rows z, as one array."""
+    _, unit = kernels.block_polar_fwd(z)
+    out = np.empty((len(z), 2 * len(freq)))
+    kernels.torus_fwd(unit, freq, out)
+    return out
+
+
 class TestKernelSemantics:
-    def test_angles_in_range_and_floor(self):
+    def test_unit_coordinates_and_floor(self):
         z = np.array([[0.0, 0.0, 1.0, -1.0]])
-        radii, angles = kernels.block_polar_fwd(z)
+        radii, unit = kernels.block_polar_fwd(z)
         assert radii[0, 0] == kernels.RADIUS_FLOOR
-        assert angles[0, 0] == 0.0
-        assert np.all(angles >= 0.0) and np.all(angles < 2 * np.pi)
+        assert unit[0, 0] == 1.0
+        assert unit[0, 1] == pytest.approx((1.0 - 1.0j) / np.sqrt(2.0), abs=1e-15)
         # zero-radius block receives no gradient
-        dz = kernels.block_polar_bwd(z, radii, np.ones_like(radii), np.ones_like(angles))
+        dz = kernels.block_polar_bwd(z, radii, np.ones_like(radii), np.ones_like(radii))
         assert dz[0, 0] == 0.0 and dz[0, 1] == 0.0
 
     def test_torus_features_unit_circle(self):
         z, freq, _ = _random_case(3)
-        _, angles = kernels.block_polar_fwd(z)
-        cos_f, sin_f = kernels.torus_fwd(angles, freq, np.empty((len(z), 2 * len(freq))))
+        _, unit = kernels.block_polar_fwd(z)
+        cos_f, sin_f = kernels.torus_fwd(unit, freq, np.empty((len(z), 2 * len(freq))))
         assert np.allclose(cos_f**2 + sin_f**2, 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("bandwidth", [1, 2, 3])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_characters_are_cos_and_sin_of_the_phases(self, bandwidth, r):
+        # Every m in the box, so zero and negative entries, the zero vector
+        # and non-primitive m included.
+        span = range(-bandwidth, bandwidth + 1)
+        freq = np.array(list(itertools.product(span, repeat=r)), dtype=np.float64)
+        z = np.random.default_rng(10 * bandwidth + r).normal(size=(40, 2 * r))
+        phases = np.arctan2(z[:, 1::2], z[:, 0::2]) @ freq.T
+        expected = np.concatenate([np.cos(phases), np.sin(phases)], axis=1)
+        assert np.max(np.abs(_characters(z, freq) - expected)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "rows", [1, kernels.TORUS_ROW_BLOCK - 1, kernels.TORUS_ROW_BLOCK, kernels.TORUS_ROW_BLOCK + 1]
+    )
+    def test_row_blocks_do_not_change_bits(self, rows):
+        z, freq, _ = _random_case(5, b=rows)
+        batch = _characters(z, freq)
+        alone = np.concatenate([_characters(z[i : i + 1], freq) for i in range(rows)])
+        assert batch.tobytes() == alone.tobytes()
+
+    def test_zero_block_has_factor_one_and_no_gradient(self):
+        z, freq, _ = _random_case(6, b=8)
+        z[:, 2:4] = 0.0  # block 1
+        chars = _characters(z, freq)
+        assert np.all(np.isfinite(chars))
+        without = freq.copy()
+        without[:, 1] = 0.0
+        assert chars.tobytes() == _characters(z, without).tobytes()
+        radii, unit = kernels.block_polar_fwd(z)
+        f = len(freq)
+        cos_f, sin_f = kernels.torus_fwd(unit, freq, np.empty((len(z), 2 * f)))
+        g = np.random.default_rng(7).normal(size=(len(z), 2 * f + 3))
+        d_angles = kernels.torus_bwd(cos_f, sin_f, g[:, :f], g[:, f : 2 * f], freq)
+        dz = kernels.block_polar_bwd(z, radii, g[:, 2 * f :], d_angles)
+        assert np.all(np.isfinite(dz))
+        assert np.all(dz[:, 2:4] == 0.0)
 
     def test_adam_against_reference_loop(self):
         rng = np.random.default_rng(4)

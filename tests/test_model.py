@@ -141,10 +141,11 @@ class TestFeaturize:
         z = np.random.default_rng(16).normal(size=(33, 6))
         freq = model.init_params(6, 2, seed=17).freq_matrix()
         feats, _ = model.features_stage(z, freq)
-        # cos and sin of the same phases as separate arrays, joined by a copy.
-        radii, angles = kernels.block_polar_fwd(z)
-        phases = angles @ freq.T
-        expected = np.concatenate([np.cos(phases), np.sin(phases), radii], axis=1)
+        # torus_fwd's columns into a buffer of their own, then the radii.
+        radii, unit = kernels.block_polar_fwd(z)
+        chars = np.empty((len(z), 2 * len(freq)))
+        kernels.torus_fwd(unit, freq, chars)
+        expected = np.concatenate([chars, radii], axis=1)
         assert feats.tobytes() == expected.tobytes()
 
 
