@@ -17,12 +17,11 @@ from . import model, study
 from .data import (
     double_pendulum_task,
     load_dataset,
-    make_random_generator,
     save_dataset,
+    synth_generator,
     synth_invariant_classification,
     synth_invariant_regression,
 )
-from .lie import CanonicalForm, retract_orthogonal
 from .sweep import SweepSpec, check_values, run_sweep, write_sweep_outputs
 from .train import RunReport, TrainConfig, evaluate_params, train
 
@@ -108,9 +107,13 @@ def _parse_rates(raw):
         rates = np.asarray([float(v) for v in raw.split(",")], dtype=np.float64)
     except ValueError as exc:
         raise CliError(f"bad --rates {raw!r}: {exc}") from exc
-    if rates.size == 0 or not np.any(rates):
-        raise CliError("--rates must contain a nonzero vector")
-    return rates / np.linalg.norm(rates)
+    # The task scales the rates to unit norm, which a norm that overflows to
+    # inf would turn into zero rates.
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(rates)
+    if not 0.0 < norm < np.inf:  # NaN fails every comparison
+        raise CliError(f"bad --rates {raw!r}: need a nonzero vector of finite norm")
+    return rates
 
 
 def cmd_gen_data(args):
@@ -129,13 +132,8 @@ def cmd_gen_data(args):
         n = args.n if args.n is not None else 4
         if n % 2 != 0:
             raise CliError(f"ambient dimension must be even, got {n}")
-        if args.rates is not None:
-            rng = np.random.default_rng(np.random.SeedSequence([args.seed, 7]))
-            cf = CanonicalForm(
-                retract_orthogonal(rng.standard_normal((n, n))), _parse_rates(args.rates)
-            )
-        else:
-            cf = make_random_generator(n, args.seed, kind=args.generator)
+        rates = None if args.rates is None else _parse_rates(args.rates)
+        cf = synth_generator(n, args.seed, rates, args.generator)
         maker = (
             synth_invariant_classification if args.task == "synth-cls" else synth_invariant_regression
         )

@@ -168,6 +168,18 @@ def make_random_generator(n, seed, kind="mixed"):
     return CanonicalForm(q, rates / np.linalg.norm(rates))
 
 
+def synth_generator(n, seed, rates, kind):
+    """The true canonical form of a synthetic task at `seed`: `rates`,
+    scaled to unit norm, in a random frame drawn from SeedSequence([seed, 7]),
+    or make_random_generator(n, seed, kind) when `rates` is None."""
+    if rates is None:
+        return make_random_generator(n, seed, kind)
+    rates = np.asarray(rates, dtype=np.float64)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
+    q = retract_orthogonal(rng.standard_normal((n, n)))
+    return CanonicalForm(q, rates / np.linalg.norm(rates))
+
+
 # -- targets -------------------------------------------------------------------
 
 

@@ -5,7 +5,9 @@ generator B. Every such B factors through an orthogonal alignment Q and
 per-plane rotation rates: B = Q (rate_1*J (+) ... (+) rate_r*J) Q^T with
 J = [[0,-1],[1,0]] and r = n/2. This module builds generators from that
 canonical form, exponentiates them, keeps matrices on SO(n), and compares
-generators. Ambient dimension must be even; odd n is rejected everywhere.
+generators. The exponential takes skew input only and is computed from the
+eigendecomposition of the Hermitian matrix i*B, whose eigenvalues are real.
+Ambient dimension must be even; odd n is rejected everywhere.
 """
 
 import functools
@@ -17,12 +19,6 @@ import numpy as np
 
 # Planar rotation generator.
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-# Scaling-and-squaring: Taylor order and the norm ceiling for the scaled
-# matrix. 0.25 keeps the truncation error of the order-10 series below
-# 1e-14 so orthogonality survives the squaring stage with margin.
-EXP_TAYLOR_ORDER = 10
-EXP_SCALE_LIMIT = 0.25
 
 SKEW_TOL = 1e-12
 ORTHO_TOL = 1e-10
@@ -141,51 +137,27 @@ def assemble_generator(cf):
 
 
 def matrix_exp(b, t=1.0):
-    """exp(t*B) by scaling-and-squaring with a truncated Taylor series.
+    """exp(t*B) for skew-symmetric B, from the eigendecomposition of i*t*B.
 
-    Scales so the Frobenius norm of the working matrix is at most
-    EXP_SCALE_LIMIT, applies the order-EXP_TAYLOR_ORDER series, then squares
-    back up. For skew B the result is in SO(n) to ~1e-13.
+    Skew input only: `exp_skew` reads one triangle of the matrix, so a
+    matrix that is not skew raises ValueError here, as does a non-finite
+    one. The result is in SO(n) to ~1e-14.
     """
-    mat = _as_matrix(b) * float(t)
+    b = _as_matrix(b)
+    mat = b * float(t)
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix exponential of non-finite matrix")
-    return exp_steps(mat)[0]
+    if np.linalg.norm(b + b.T) > SKEW_TOL:
+        raise ValueError("matrix exponential of a matrix that is not skew-symmetric")
+    return exp_skew(mat)[0]
 
 
-def exp_steps(mat):
-    """matrix_exp's arithmetic on `mat`, keeping its intermediates.
-
-    Returns (result, scale, scaled, terms, squares): the series runs on
-    scaled = mat * scale, terms[k] is its k-th Taylor term (terms[0] = I),
-    and squares[j] is the matrix squared at squaring step j. The model's
-    alignment stage replays these steps in reverse for its gradient.
-    """
-    v = mat.ravel(order="K")
-    norm = math.sqrt(v @ v)  # np.linalg.norm's arithmetic, without its overhead
-    squarings = 0
-    if norm > EXP_SCALE_LIMIT:
-        squarings = int(math.ceil(math.log2(norm / EXP_SCALE_LIMIT)))
-    scale = 0.5**squarings
-    scaled = mat * scale
-    result = _identity(mat.shape[0])
-    terms = [result]
-    for k in range(1, EXP_TAYLOR_ORDER + 1):
-        terms.append((terms[-1] @ scaled) * (1.0 / k))
-        result = result + terms[-1]
-    squares = []
-    for _ in range(squarings):
-        squares.append(result)
-        result = result @ result
-    return result, scale, scaled, terms, squares
-
-
-@functools.cache
-def _identity(n):
-    """The n x n identity, cached and read-only."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
+def exp_skew(mat):
+    """(exp(mat), w, v) for skew `mat`, where i*mat = v diag(w) v^H is the
+    Hermitian eigendecomposition, so exp(mat) = v diag(e^{-iw}) v^H. The
+    model's alignment stage reuses w and v for its gradient."""
+    w, v = np.linalg.eigh(1j * mat)
+    return ((v * np.exp(-1j * w)) @ v.conj().T).real, w, v
 
 
 def retract_orthogonal(raw):

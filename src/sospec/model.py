@@ -186,12 +186,16 @@ def align_stage(skew, x, reflected):
     """Rows of x in the learned frame: x @ exp(A), with the last coordinate
     negated for a reflected frame. Input: the skew parameters of A.
 
-    The exponential is lie.exp_steps, so the value matches lie.matrix_exp
-    bit for bit; the VJP replays its squaring and Taylor steps in reverse.
+    The exponential is lie.exp_skew, so the value matches lie.matrix_exp
+    bit for bit. The VJP is the Daleckii-Krein adjoint of exp at A: with
+    iA = V diag(w) V^H and G = x^T g, dA = Re(V [F o (V^H G V)] V^H), where
+    F_ij = e^{i(w_i+w_j)/2} sin(d_ij)/d_ij with d_ij = (w_i-w_j)/2 is the
+    conjugated divided difference of e^{-iw}. np.sinc keeps that form exact
+    at equal eigenvalues (A = 0, or equal rates), so no case is singled out.
     """
     n = x.shape[1]
     rows, cols = lie.skew_indices(n)
-    q, scale, scaled, terms, squares = lie.exp_steps(lie.skew_from_params(skew, n))
+    q, w, v = lie.exp_skew(lie.skew_from_params(skew, n))
     z = x @ q
     if reflected:
         z[:, -1] = -z[:, -1]
@@ -200,18 +204,10 @@ def align_stage(skew, x, reflected):
         if reflected:
             g = g.copy()
             g[:, -1] = -g[:, -1]
-        d_result = x.T @ g
-        for sq in reversed(squares):
-            d_result = d_result @ sq.T + sq.T @ d_result
-        # result = I + sum_k term_k with term_k = term_{k-1} @ scaled / k
-        d_term = d_result
-        d_scaled = 0.0
-        for k in range(lie.EXP_TAYLOR_ORDER, 0, -1):
-            d_prod = d_term * (1.0 / k)
-            d_scaled = d_scaled + terms[k - 1].T @ d_prod
-            if k > 1:
-                d_term = d_prod @ scaled.T + d_result
-        d_mat = d_scaled * scale
+        half = 0.5 * w
+        f = np.exp(1j * (half[:, None] + half)) * np.sinc((w[:, None] - w) / (2.0 * np.pi))
+        vh = v.conj().T
+        d_mat = (v @ (f * (vh @ (x.T @ g) @ v)) @ vh).real
         return (d_mat[cols, rows] - d_mat[rows, cols],)
 
     return z, vjp

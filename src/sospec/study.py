@@ -143,13 +143,20 @@ def run_study(names, seeds=None, overrides=None, progress=None):
             progress(name, row)
         rows[name].append(row)
     families = {name: summarize(FAMILIES[name], rows[name]) for name in names}
+    return {
+        "hitCos": HIT_COS,
+        "overrides": overrides,
+        "flagPrecision": flag_precision(families),
+        "families": families,
+    }
+
+
+def flag_precision(families):
+    """The reliability flag's precision over the summarized `families`
+    (name -> figures): of all reliable claims, the share that are hits on a
+    family with a unique subgroup."""
     claims = sum(f["reliableOnHits"] + f["reliableOnMisses"] for f in families.values())
     right = sum(
         f["reliableOnHits"] for name, f in families.items() if FAMILIES[name].unique
     )
-    return {
-        "hitCos": HIT_COS,
-        "overrides": overrides,
-        "flagPrecision": _ratio(right, claims),
-        "families": families,
-    }
+    return _ratio(right, claims)

@@ -10,10 +10,9 @@ import numpy as np
 from .data import (
     check_noise_sigma,
     double_pendulum_task,
-    make_random_generator,
+    synth_generator,
     synth_invariant_regression,
 )
-from .lie import CanonicalForm, retract_orthogonal
 from .pool import run_in_order, worker_count
 from .train import TrainConfig, train
 
@@ -70,15 +69,7 @@ def _make_dataset(spec, value, seed):
         n_samples, sigma = int(value), spec.noise_sigma
     if spec.task == "pendulum6d":
         return double_pendulum_task(n_samples, sigma, seed)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
-    if spec.rates is None:
-        cf = make_random_generator(spec.n, seed, kind="rational")
-    else:
-        rates = np.asarray(spec.rates, dtype=np.float64)
-        cf = CanonicalForm(
-            retract_orthogonal(rng.standard_normal((spec.n, spec.n))),
-            rates / np.linalg.norm(rates),
-        )
+    cf = synth_generator(spec.n, seed, spec.rates, "rational")
     return synth_invariant_regression(cf, n_samples, sigma, seed, spec.base.bandwidth)
 
 

@@ -112,7 +112,7 @@ class TestGradchecks:
         assert gradcheck(build, [rng.normal(size=(3, 4)), rng.normal(size=(4, 3))]) <= 1e-6
 
     def test_skew_matrix(self):
-        # align stage on a small skew (no squaring steps), both parities
+        # align stage on a small skew, both parities
         rng = np.random.default_rng(7)
         x = rng.normal(size=(5, 4))
         weights = rng.normal(size=(5, 4))

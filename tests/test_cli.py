@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
+import sospec.cli as cli
 import sospec.model as model
+from sospec import sweep
 from sospec.cli import build_parser, main
+from sospec.data import load_dataset
 from sospec.train import TrainConfig
 
 
@@ -351,6 +354,44 @@ class TestSweepAndReport:
         assert "synth" in md and "Cosine" in md
         summary = json.loads((out / "summary.json").read_text())
         assert summary["tasks"][0]["nRuns"] == 2
+
+    def test_sweep_rates_build_the_gen_data_task(self, tmp_path, monkeypatch):
+        # The rates are normalised once, where the task is built: `--rates 1,-1`
+        # gives the default task, and the one gen-data writes at the same seed.
+        specs = []
+
+        def capture(spec, progress):
+            specs.append(spec)
+            return [], {"points": []}
+
+        monkeypatch.setattr(cli, "run_sweep", capture)
+        for flags in ((), ("--rates", "1,-1")):
+            assert run_cli("sweep", "--axis", "noise", "--values", "0.2", "--repeats", "1",
+                           "--n-samples", "300", "--bandwidth", "2", *flags,
+                           "--out", str(tmp_path / "sweep")) == 0
+        default, given = (sweep._make_dataset(spec, 0.2, 11) for spec in specs)
+        path = tmp_path / "ds.jsonl"
+        assert run_cli("gen-data", "--task", "synth", "--n", "4", "--n-samples", "300",
+                       "--sigma", "0.2", "--seed", "11", "--rates", "1,-1",
+                       "--gen-bandwidth", "2", "--out", str(path)) == 0
+        for ds in (given, load_dataset(path)):
+            assert ds.meta.true_rates.tobytes() == default.meta.true_rates.tobytes()
+            assert ds.x.tobytes() == default.x.tobytes()
+            assert ds.y.tobytes() == default.y.tobytes()
+
+    @pytest.mark.parametrize("command", ["gen-data", "sweep"])
+    @pytest.mark.parametrize("rates", ["0,0", "nan,1", "inf,1", "1e308,1e308"])
+    def test_rates_without_a_finite_norm_exit_one(self, tmp_path, capsys, command, rates):
+        # 1e308,1e308 is finite, but its norm overflows and would scale the
+        # rates to zero
+        out = tmp_path / "out"
+        rc = run_cli(command, *(("--task", "synth", "--n", "4") if command == "gen-data"
+                                else ("--axis", "noise")),
+                     "--n-samples", "50", "--rates", rates, "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"bad --rates '{rates}': need a nonzero vector of finite norm" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags, found",

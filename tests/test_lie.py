@@ -88,6 +88,13 @@ class TestMatrixExp:
         with pytest.raises(ValueError):
             matrix_exp(np.array([[0.0, np.inf], [-np.inf, 0.0]]), 1.0)
 
+    @pytest.mark.parametrize("b", [np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    def test_non_skew_rejected(self, b):
+        # the eigendecomposition reads one triangle of i*B and the real part
+        # of its diagonal, so it would take either matrix for zero
+        with pytest.raises(ValueError, match="not skew-symmetric"):
+            matrix_exp(b, 0.5)
+
 
 class TestRetract:
     def test_identity_fixed(self):

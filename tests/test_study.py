@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
@@ -61,3 +63,12 @@ class TestStudy:
         assert cli_main(["study", "--family", family, "--out", str(out)]) == 1
         assert "--family" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_committed_figures_follow_from_their_rows(self):
+        doc = json.loads((Path(__file__).parent.parent / "BENCH_seedstudy.json").read_text())
+        assert (doc["hitCos"], doc["overrides"]) == (study.HIT_COS, {})
+        assert list(doc["families"]) == list(study.FAMILIES)
+        for name, fam in doc["families"].items():
+            assert [row["seed"] for row in fam["rows"]] == list(study.FAMILIES[name].seeds)
+            assert study.summarize(study.FAMILIES[name], fam["rows"]) == fam, name
+        assert study.flag_precision(doc["families"]) == doc["flagPrecision"]
