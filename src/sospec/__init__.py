@@ -10,9 +10,7 @@ generator of the latent subgroup.
 
 from .lattice import (
     FrequencyVector,
-    ResonantSet,
     TorusPoint,
-    block_polar,
     character,
     estimate_lambda,
     primitive,
@@ -36,10 +34,8 @@ __all__ = [
     "CanonicalForm",
     "FrequencyVector",
     "Generator",
-    "ResonantSet",
     "TorusPoint",
     "assemble_generator",
-    "block_polar",
     "character",
     "estimate_lambda",
     "gauge_equivalent",

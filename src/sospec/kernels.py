@@ -8,7 +8,10 @@ name.
 A row's torus coordinates are its unit block coordinates u_k = (x_k + i
 y_k) / r_k, not angles: the character of frequency m is e^{i m.theta} =
 prod_k u_k^{m_k}, a product of powers that needs no arctan2, cos or sin.
-The backward passes still speak of angles, through d(m.theta) = m.d(theta).
+Given the raw block coordinates z_k = x_k + i y_k in place of unit ones,
+the same product is rho_m e^{i m.theta} with rho_m = prod_k r_k^{|m_k|},
+the harmonics the data targets are built from. The backward passes still
+speak of angles, through d(m.theta) = m.d(theta).
 """
 
 import numpy as np
@@ -66,37 +69,40 @@ def _complex_multiply(a, b, out, t):
     np.subtract(t[0], t[1], out=out[0])
 
 
-def torus_fwd(unit, freq, out):
-    """Write the characters' cos and sin side by side into the first
-    2 * len(freq) columns of `out`; returns those two column blocks.
+def torus_fwd(coords, freq, out):
+    """Write the real and imaginary parts of prod_k z_k^{m_k} side by side
+    into the first 2 * len(freq) columns of `out`; returns those two
+    column blocks.
 
-    `unit` holds each row's unit block coordinates, `freq` one integer
-    frequency per row. Each block's powers u^p for |p| <= B, the largest
-    entry of `freq`, come from repeated multiplication, and from conj for
-    negative p; a character is the product of one power per block, taken
-    in block order. Rows go TORUS_ROW_BLOCK at a time, with every array
-    laid out ([real, imaginary], block, power or character, rows), so that
-    one `take` gathers every factor of a row block.
+    `coords` holds each row's complex block coordinates z_k, `freq` one
+    integer frequency m per row. Unit coordinates give the characters'
+    cos and sin; raw ones give them times rho_m = prod_k r_k^{|m_k|}. Each
+    block's powers z^p for |p| <= B, the largest entry of `freq`, come
+    from repeated multiplication, and from conj for negative p; a product
+    takes one power per block, in block order. Rows go TORUS_ROW_BLOCK at
+    a time, with every array laid out ([real, imaginary], block, power or
+    character, rows), so that one `take` gathers every factor of a row
+    block.
     """
     f, r = freq.shape
     exps = freq.T.astype(np.intp)  # (block, character) -> power
     bw = int(np.abs(exps).max(initial=0))
     slots = 2 * bw + 1
     picks = (exps + (bw + slots * np.arange(r))[:, None]).ravel()
-    rows = min(unit.shape[0], TORUS_ROW_BLOCK)
+    rows = min(coords.shape[0], TORUS_ROW_BLOCK)
     powers = np.empty((2, r, slots, rows))
     factors = np.empty((2, r * f, rows))
     scratch = np.empty((2, max(r, f), rows))
     cos_f, sin_f = out[:, :f], out[:, f : 2 * f]
-    for lo in range(0, unit.shape[0], TORUS_ROW_BLOCK):
-        u = unit[lo : lo + TORUS_ROW_BLOCK]
-        n = u.shape[0]
+    for lo in range(0, coords.shape[0], TORUS_ROW_BLOCK):
+        z = coords[lo : lo + TORUS_ROW_BLOCK]
+        n = z.shape[0]
         pw, fa, t = powers[..., :n], factors[..., :n], scratch[..., :n]
         pw[0, :, bw] = 1.0
         pw[1, :, bw] = 0.0
         if bw:
-            pw[0, :, bw + 1] = u.real.T
-            pw[1, :, bw + 1] = u.imag.T
+            pw[0, :, bw + 1] = z.real.T
+            pw[1, :, bw + 1] = z.imag.T
         for p in range(bw + 2, slots):
             _complex_multiply(pw[:, :, p - 1], pw[:, :, bw + 1], pw[:, :, p], t[:, :r])
         pw[0, :, :bw] = pw[0, :, : bw : -1]

@@ -86,26 +86,6 @@ class TorusPoint:
         return self.radii.shape[0]
 
 
-def block_polar(z):
-    """Split a length-n vector into 2-d blocks and return their polar form.
-
-    Zero blocks map to (radius 0, angle 0); atan2 is never evaluated at the
-    origin.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.shape[0] % 2 != 0:
-        raise ValueError(f"expected an even-dimensional vector, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("input must be finite")
-    x = z[0::2]
-    y = z[1::2]
-    radii = np.hypot(x, y)
-    angles = np.zeros_like(radii)
-    nz = radii > 0.0
-    angles[nz] = np.mod(np.arctan2(y[nz], x[nz]), TWO_PI)
-    return TorusPoint(radii, angles)
-
-
 def primitive(entries):
     """Canonical representative of the lattice ray through `entries`."""
     vec = [int(e) for e in entries]
@@ -145,35 +125,9 @@ def character(freq, point):
     return complex(math.cos(phase), math.sin(phase))
 
 
-@dataclass(frozen=True)
-class ResonantSet:
-    """Frequencies (relative-)orthogonal to a rate vector."""
-
-    rates: np.ndarray
-    members: tuple
-    tol: float
-
-    def __post_init__(self):
-        rates = np.asarray(self.rates, dtype=np.float64)
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "members", tuple(self.members))
-        bound = self.tol * np.linalg.norm(rates)
-        for m in self.members:
-            if abs(float(np.dot(m.as_array(), rates))) > bound * np.linalg.norm(
-                m.as_array()
-            ):
-                raise ValueError(f"{m.entries} is not resonant at tol {self.tol}")
-
-    def to_json_dict(self):
-        return {
-            "lambda": self.rates.tolist(),
-            "tol": self.tol,
-            "members": [m.to_json() for m in self.members],
-        }
-
-
 def resonant_subset(rates, candidates, tol):
-    """Members of `candidates` with |<freq, rates>| <= tol * |freq| * |rates|.
+    """Members of `candidates` with |<freq, rates>| <= tol * |freq| * |rates|,
+    sorted by entries.
 
     The test is relative, so it is scale-free in both arguments; tol=0 keeps
     exactly the frequencies whose inner product is zero in floating point.
@@ -188,7 +142,7 @@ def resonant_subset(rates, candidates, tol):
         if abs(float(np.dot(fa, rates))) <= tol * rn * np.linalg.norm(fa):
             members.append(freq)
     members.sort(key=lambda f: f.entries)
-    return ResonantSet(rates, tuple(members), tol)
+    return members
 
 
 def estimate_lambda(surviving, r):

@@ -35,8 +35,8 @@ class TestMakeRandomGenerator:
         for n in (4, 6):
             for seed in range(5):
                 cf = data.make_random_generator(n, seed=seed, kind="rational")
-                rs = resonant_subset(cf.rates, primitive_set(2, n // 2), 1e-9)
-                assert rs.members, f"no resonance for n={n} seed={seed}"
+                members = resonant_subset(cf.rates, primitive_set(2, n // 2), 1e-9)
+                assert members, f"no resonance for n={n} seed={seed}"
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -54,8 +54,8 @@ class TestSynthRegression:
         rng = np.random.default_rng(3)
         q = retract_orthogonal(rng.standard_normal((4, 4)))
         cf = CanonicalForm(q, np.array([1.0, -1.0]) / np.sqrt(2.0))
-        target, info = data._resonant_character_target(cf, 2, np.random.default_rng(5))
-        assert info["n_characters"] > 0
+        assert resonant_subset(cf.rates, primitive_set(2, 2), data.AUDIT_TOL)
+        target = data._resonant_character_target(cf, 2, np.random.default_rng(5))
         from sospec.lie import assemble_generator
 
         gen = assemble_generator(cf)
@@ -81,8 +81,7 @@ class TestSynthRegression:
     def test_radial_fallback_when_no_resonance(self):
         # generic rates have empty resonant sets; generation must still work
         cf = data.make_random_generator(4, seed=11, kind="generic")
-        rs = resonant_subset(cf.rates, primitive_set(2, 2), 1e-9)
-        assert not rs.members
+        assert not resonant_subset(cf.rates, primitive_set(2, 2), 1e-9)
         ds = data.synth_invariant_regression(cf, 300, 0.0, seed=12)
         assert ds.x.shape == (300, 4)
 
@@ -135,6 +134,84 @@ class TestPendulum:
         noisy = data.double_pendulum_task(400, 0.3, seed=16)
         assert np.array_equal(clean.x, noisy.x)
         assert not np.array_equal(clean.y, noisy.y)
+
+
+def _polar(z):
+    return np.hypot(z[:, 0::2], z[:, 1::2]), np.arctan2(z[:, 1::2], z[:, 0::2])
+
+
+def _synth_polar(cf, bandwidth, seed, x):
+    """The synth target in polar form, drawing its coefficients in the
+    target's order: a, b, e, j per resonant member, then the radial weights."""
+    rng = np.random.default_rng(seed)
+    members = resonant_subset(cf.rates, primitive_set(bandwidth, cf.r), data.AUDIT_TOL)
+    coeffs = []
+    for m in members:
+        a = rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0])
+        b = rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0])
+        e = rng.uniform(0.2, 0.4)
+        j = int(rng.integers(cf.r))
+        coeffs.append((np.array(m.entries, dtype=np.float64), a, b, e, j))
+    radial_w = rng.uniform(0.25, 0.5, size=cf.r)
+    radii, angles = _polar(x @ cf.q)
+    values = radii**2 @ radial_w
+    for m, a, b, e, j in coeffs:
+        phase = angles @ m
+        envelope = np.prod(radii ** np.abs(m), axis=1) * (1.0 + e * radii[:, j] ** 2)
+        values = values + envelope * (a * np.cos(phase) + b * np.sin(phase))
+    return values
+
+
+def _pendulum_polar(x):
+    radii, angles = _polar(x)
+    values = np.sum(radii**2, axis=1)
+    for (k, l), scale in {(0, 1): 1.2, (0, 2): 0.8, (1, 2): 1.0}.items():
+        coupling = data.PENDULUM_COUPLING * scale * radii[:, k] * radii[:, l]
+        values = values + coupling * np.cos(angles[:, k] - angles[:, l])
+    triple = radii[:, 0] * radii[:, 1] ** 2 * radii[:, 2]
+    phase = angles[:, 0] - 2.0 * angles[:, 1] + angles[:, 2]
+    return values + data.PENDULUM_TRIPLE * triple * np.cos(phase)
+
+
+class TestTargetsAgainstPolarForm:
+    """The targets, built from block coordinates with kernels.torus_fwd,
+    equal their polar formulas: hypot and arctan2, then cos and sin."""
+
+    @staticmethod
+    def _rows(seed):
+        # random rows, then each block zeroed in turn, then the zero row
+        x = np.random.default_rng(seed).normal(size=(40, 6))
+        zeroed = np.repeat(x[:3], 3, axis=0)
+        for i in range(len(zeroed)):
+            zeroed[i, 2 * (i % 3) : 2 * (i % 3) + 2] = 0.0
+        return np.vstack([x, zeroed, np.zeros((1, 6))])
+
+    @staticmethod
+    def _assert_close(got, want):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("frame", ["signed-permutation", "random"])
+    @pytest.mark.parametrize("ints", [(1, 1, -2), (1, -1, 0), (2, -1, 1)])
+    def test_synth(self, frame, ints):
+        rng = np.random.default_rng(31)
+        if frame == "random":
+            q = retract_orthogonal(rng.standard_normal((6, 6)))
+        else:  # both products below are exact, so the zero blocks stay zero
+            q = np.eye(6)[rng.permutation(6)] * rng.choice([-1.0, 1.0], size=6)
+        rates = np.asarray(ints, dtype=np.float64)
+        cf = CanonicalForm(q, rates / np.linalg.norm(rates))
+        x = self._rows(32) @ q.T  # the target's frame coordinates are x @ q
+        if frame == "signed-permutation":
+            assert np.array_equal(x @ q, self._rows(32))
+        target = data._resonant_character_target(cf, 2, np.random.default_rng(33))
+        self._assert_close(target(x), _synth_polar(cf, 2, 33, x))
+
+    def test_pendulum(self, monkeypatch):
+        targets = []
+        monkeypatch.setattr(data, "_audit_invariance", lambda target, *args: targets.append(target))
+        data.double_pendulum_task(10, 0.0, seed=34)
+        x = self._rows(35)
+        self._assert_close(targets[0](x), _pendulum_polar(x))
 
 
 class TestSerialization:

@@ -49,6 +49,13 @@ class TestKernelSemantics:
         phases = np.arctan2(z[:, 1::2], z[:, 0::2]) @ freq.T
         expected = np.concatenate([np.cos(phases), np.sin(phases)], axis=1)
         assert np.max(np.abs(_characters(z, freq) - expected)) <= 1e-13
+        # Raw block coordinates give rho_m cos and rho_m sin, where
+        # rho_m = prod_k r_k^{|m_k|}.
+        rho = np.prod(np.hypot(z[:, 0::2], z[:, 1::2])[:, None, :] ** np.abs(freq), axis=2)
+        raw = np.empty((len(z), 2 * len(freq)))
+        kernels.torus_fwd(z.view(np.complex128), freq, raw)
+        scale = np.concatenate([rho, rho], axis=1)
+        assert np.max(np.abs(raw - scale * expected) / np.maximum(1.0, scale)) <= 1e-13
 
     @pytest.mark.parametrize(
         "rows", [1, kernels.TORUS_ROW_BLOCK - 1, kernels.TORUS_ROW_BLOCK, kernels.TORUS_ROW_BLOCK + 1]

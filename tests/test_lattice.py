@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ from oracles import enumerate_primitives_bruteforce, rational_nullspace, rationa
 from sospec.lattice import (
     FrequencyVector,
     TorusPoint,
-    block_polar,
     character,
     estimate_lambda,
     primitive,
@@ -20,33 +18,6 @@ from sospec.lattice import (
 
 def fv(*entries):
     return FrequencyVector(tuple(entries))
-
-
-class TestBlockPolar:
-    def test_positive_axis(self):
-        p = block_polar(np.array([1.0, 0.0]))
-        assert np.allclose(p.radii, [1.0])
-        assert np.allclose(p.angles, [0.0])
-
-    def test_positive_imaginary_axis(self):
-        p = block_polar(np.array([0.0, 1.0]))
-        assert np.allclose(p.radii, [1.0])
-        assert np.allclose(p.angles, [np.pi / 2])
-
-    def test_zero_block_convention(self):
-        p = block_polar(np.array([0.0, 0.0, 1.0, 1.0]))
-        assert p.radii[0] == 0.0
-        assert p.angles[0] == 0.0
-
-    def test_angle_range(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            p = block_polar(rng.normal(size=6))
-            assert np.all(p.angles >= 0.0) and np.all(p.angles < 2 * np.pi)
-
-    def test_odd_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            block_polar(np.array([1.0, 2.0, 3.0]))
 
 
 class TestPrimitive:
@@ -134,12 +105,12 @@ class TestCharacter:
 
 class TestResonantSubset:
     def test_diagonal_rates(self):
-        rs = resonant_subset(np.array([1.0, 1.0]), primitive_set(1, 2), 1e-9)
-        assert [m.entries for m in rs.members] == [(1, -1)]
+        members = resonant_subset(np.array([1.0, 1.0]), primitive_set(1, 2), 1e-9)
+        assert [m.entries for m in members] == [(1, -1)]
 
     def test_single_plane_rates(self):
-        rs = resonant_subset(np.array([1.0, 0.0]), primitive_set(1, 2), 1e-9)
-        assert [m.entries for m in rs.members] == [(0, 1)]
+        members = resonant_subset(np.array([1.0, 0.0]), primitive_set(1, 2), 1e-9)
+        assert [m.entries for m in members] == [(0, 1)]
 
     def test_incommensurate_rates_empty(self):
         lam = np.array([1.0, np.sqrt(2.0)])
@@ -147,20 +118,19 @@ class TestResonantSubset:
         # smallest |<m, lam>| over the candidates is sqrt(2) - 1
         smallest = min(abs(float(np.dot(m.as_array(), lam))) for m in candidates)
         assert smallest == pytest.approx(np.sqrt(2.0) - 1.0)
-        rs = resonant_subset(lam, candidates, 1e-9)
-        assert rs.members == ()
+        assert resonant_subset(lam, candidates, 1e-9) == []
+
+    def test_members_sorted_by_entries(self):
+        candidates = primitive_set(1, 3)[::-1]
+        members = resonant_subset(np.array([1.0, -1.0, 0.0]), candidates, 1e-9)
+        assert [m.entries for m in members] == [(0, 0, 1), (1, 1, -1), (1, 1, 0), (1, 1, 1)]
 
     def test_membership_invariant_enforced(self):
-        rs = resonant_subset(np.array([1.0, -1.0]), primitive_set(2, 2), 0.0)
-        lam = rs.rates
-        for m in rs.members:
+        lam = np.array([1.0, -1.0])
+        members = resonant_subset(lam, primitive_set(2, 2), 0.0)
+        assert [m.entries for m in members] == [(1, 1)]
+        for m in members:
             assert float(np.dot(m.as_array(), lam)) == 0.0
-
-    def test_serialization(self):
-        rs = resonant_subset(np.array([1.0, 1.0]), primitive_set(1, 2), 1e-9)
-        d = json.loads(json.dumps(rs.to_json_dict()))
-        assert d["members"] == [[1, -1]]
-        assert d["lambda"] == [1.0, 1.0]
 
 
 class TestResonanceInvariance:
@@ -175,15 +145,15 @@ class TestResonanceInvariance:
         for ints in [(1, -1), (1, 1, -2), (2, -1), (1, 1, 1, -1)]:
             lam = self._rational_rates(ints)
             r = lam.shape[0]
-            rs = resonant_subset(lam, primitive_set(2, r), 0.0)
-            assert rs.members, f"expected exact resonances for {ints}"
+            members = resonant_subset(lam, primitive_set(2, r), 0.0)
+            assert members, f"expected exact resonances for {ints}"
             for _ in range(20):
                 theta = rng.uniform(0, 2 * np.pi, size=r)
                 t = rng.uniform(-np.pi, np.pi)
                 shifted = np.mod(theta + lam * t, 2 * np.pi)
                 p0 = TorusPoint(np.ones(r), theta)
                 p1 = TorusPoint(np.ones(r), shifted)
-                for m in rs.members:
+                for m in members:
                     assert abs(character(m, p1) - character(m, p0)) <= 1e-12
 
     def test_nonresonant_characters_have_witness(self):
