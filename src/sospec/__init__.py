@@ -9,11 +9,9 @@ generator of the latent subgroup.
 """
 
 from .lattice import (
-    FrequencyVector,
     TorusPoint,
     character,
     estimate_lambda,
-    primitive,
     primitive_set,
     resonant_subset,
     surviving_frequencies,
@@ -32,7 +30,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CanonicalForm",
-    "FrequencyVector",
     "Generator",
     "TorusPoint",
     "assemble_generator",
@@ -41,7 +38,6 @@ __all__ = [
     "gauge_equivalent",
     "generator_cosine_similarity",
     "matrix_exp",
-    "primitive",
     "primitive_set",
     "resonant_subset",
     "retract_orthogonal",

@@ -208,8 +208,7 @@ def _resonant_character_target(cf, bandwidth, rng):
     generator would not be identifiable from the data.
     """
     r = cf.r
-    members = resonant_subset(cf.rates, primitive_set(bandwidth, r), AUDIT_TOL)
-    freq = np.array([m.entries for m in members], dtype=np.intp).reshape(-1, r)
+    freq = resonant_subset(cf.rates, primitive_set(bandwidth, r), AUDIT_TOL)
     draws = [
         (
             rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0]),
@@ -217,7 +216,7 @@ def _resonant_character_target(cf, bandwidth, rng):
             rng.uniform(0.2, 0.4),
             rng.integers(r),
         )
-        for _ in members
+        for _ in freq
     ]
     a, b, e, j = np.array(draws, dtype=np.float64).reshape(-1, 4).T
     j = j.astype(np.intp)
@@ -411,6 +410,8 @@ def load_dataset(path):
         obj = _parse_line(path, 1, header)
         if not isinstance(obj, dict) or "meta" not in obj:
             raise ValueError(f"{path}: line 1: missing meta header")
+        if not isinstance(obj["meta"], dict):
+            raise ValueError(f"{path}: line 1: meta header is not a JSON object")
         try:
             meta = DatasetMeta.from_json_dict(obj["meta"])
         except KeyError as exc:

@@ -1,18 +1,19 @@
 """Torus-side machinery: frequency lattice, characters, and rate recovery.
 
 Angles of the r aligned 2-d blocks live on an r-torus. Characters are
-indexed by integer frequency vectors; a function invariant along a subgroup
-with rates `lam` can only carry spectral mass where <freq, lam> = 0 (the
-resonance condition). One frequency per lattice ray suffices, so vectors
-are reduced to coprime entries with the first nonzero entry positive; the
-discarded sign indexes the conjugate character, which the real (cos, sin)
-features already cover.
+indexed by integer frequency vectors, held one per row of a float64
+matrix; a function invariant along a subgroup with rates `lam` can only
+carry spectral mass where <freq, lam> = 0 (the resonance condition). One
+frequency per lattice ray suffices, so vectors are reduced to coprime
+entries with the first nonzero entry positive; the discarded sign indexes
+the conjugate character, which the real (cos, sin) features already
+cover.
 """
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,35 +28,6 @@ def _is_canonical(entries):
             first = e
         g = math.gcd(g, abs(e))
     return g == 1 and first > 0
-
-
-@dataclass(frozen=True)
-class FrequencyVector:
-    """Integer lattice point indexing a torus character.
-
-    `primitive` is derived: true only for coprime entries with the first
-    nonzero entry positive (the canonical representative of a lattice ray).
-    """
-
-    entries: tuple
-    primitive: bool = field(init=False)
-
-    def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if len(entries) == 0:
-            raise ValueError("frequency vector must have at least one entry")
-        object.__setattr__(self, "primitive", _is_canonical(entries))
-
-    @property
-    def r(self):
-        return len(self.entries)
-
-    def as_array(self):
-        return np.asarray(self.entries, dtype=np.float64)
-
-    def to_json(self):
-        return list(self.entries)
 
 
 @dataclass(frozen=True)
@@ -86,83 +58,63 @@ class TorusPoint:
         return self.radii.shape[0]
 
 
-def primitive(entries):
-    """Canonical representative of the lattice ray through `entries`."""
-    vec = [int(e) for e in entries]
-    if all(e == 0 for e in vec):
-        raise ValueError("the zero vector has no primitive representative")
-    g = 0
-    for e in vec:
-        g = math.gcd(g, abs(e))
-    vec = [e // g for e in vec]
-    first = next(e for e in vec if e != 0)
-    if first < 0:
-        vec = [-e for e in vec]
-    return FrequencyVector(tuple(vec))
-
-
+@functools.cache
 def primitive_set(bandwidth, r):
-    """All canonical primitive frequencies with entries in [-bandwidth, bandwidth].
+    """All canonical primitive frequencies with entries in [-bandwidth,
+    bandwidth], one per row of a read-only float64 matrix.
 
-    Lexicographically ordered; no two members lie on the same ray.
+    Rows are lexicographically ordered; no two lie on the same ray.
     """
     if bandwidth < 1 or r < 1:
         raise ValueError("bandwidth and r must be at least 1")
-    out = []
-    for entries in itertools.product(range(-bandwidth, bandwidth + 1), repeat=r):
-        if _is_canonical(entries):
-            out.append(FrequencyVector(entries))
-    return out
+    box = itertools.product(range(-bandwidth, bandwidth + 1), repeat=r)
+    freq = np.array([m for m in box if _is_canonical(m)], dtype=np.float64)
+    freq.flags.writeable = False
+    return freq
 
 
 def character(freq, point):
     """Unit-modulus character value exp(i * <freq, angles>)."""
-    entries = freq.entries if isinstance(freq, FrequencyVector) else tuple(freq)
+    freq = np.asarray(freq, dtype=np.float64)
     angles = point.angles if isinstance(point, TorusPoint) else np.asarray(point)
-    if len(entries) != angles.shape[0]:
+    if freq.shape != angles.shape:
         raise ValueError("frequency and torus point have different block counts")
-    phase = float(np.dot(np.asarray(entries, dtype=np.float64), angles))
+    phase = float(np.dot(freq, angles))
     return complex(math.cos(phase), math.sin(phase))
 
 
 def resonant_subset(rates, candidates, tol):
-    """Members of `candidates` with |<freq, rates>| <= tol * |freq| * |rates|,
-    sorted by entries.
+    """Rows m of `candidates` with |<m, rates>| <= tol * |m| * |rates|,
+    sorted lexicographically.
 
-    The test is relative, so it is scale-free in both arguments; tol=0 keeps
-    exactly the frequencies whose inner product is zero in floating point.
+    The test is relative, so it is scale-free in both arguments. It is made
+    one row at a time, so tol=0 keeps exactly the frequencies whose inner
+    product is zero in floating point.
     """
     if tol < 0.0:
         raise ValueError("tolerance must be nonnegative")
     rates = np.asarray(rates, dtype=np.float64)
+    candidates = np.asarray(candidates, dtype=np.float64)
     rn = np.linalg.norm(rates)
-    members = []
-    for freq in candidates:
-        fa = freq.as_array()
-        if abs(float(np.dot(fa, rates))) <= tol * rn * np.linalg.norm(fa):
-            members.append(freq)
-    members.sort(key=lambda f: f.entries)
-    return members
+    keep = [abs(float(np.dot(m, rates))) <= tol * rn * np.linalg.norm(m) for m in candidates]
+    members = candidates[np.array(keep, dtype=bool)]
+    return members[np.lexsort(members.T[::-1])]
 
 
 def estimate_lambda(surviving, r):
     """Rate vector implied by surviving frequencies, plus the nullspace size.
 
-    Stacks the frequencies as rows of a matrix M and returns the unit
-    right-singular vector for the smallest singular value (the minimizer of
-    |M x| on the sphere), sign-canonicalized. `nullity` counts singular
-    values at most 1e-8 times the largest, padded to r for short matrices;
-    callers should trust the vector only when nullity == 1.
+    `surviving` holds one frequency per row, a (k, r) matrix M. Returns the
+    unit right-singular vector for the smallest singular value (the
+    minimizer of |M x| on the sphere), sign-canonicalized. `nullity` counts
+    singular values at most 1e-8 times the largest, padded to r for short
+    matrices; callers should trust the vector only when nullity == 1.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    surviving = list(surviving)
-    if len(surviving) == 0:
-        mat = np.zeros((0, r))
-    else:
-        mat = np.stack([f.as_array() for f in surviving])
-        if mat.shape[1] != r:
-            raise ValueError("surviving frequencies do not match r")
+    mat = np.asarray(surviving, dtype=np.float64)
+    if mat.ndim != 2 or mat.shape[1] != r:
+        raise ValueError(f"surviving frequencies must be a (k, {r}) matrix, got {mat.shape}")
     _, svals, vt = np.linalg.svd(mat)
     if svals.size == 0 or svals[0] == 0.0:
         rank = 0
@@ -177,13 +129,13 @@ def estimate_lambda(surviving, r):
     return lam, r - rank
 
 
-def surviving_frequencies(coeffs: Mapping, rel_threshold):
-    """Frequencies whose coefficient reaches rel_threshold of the maximum."""
+def surviving_frequencies(freq, coeffs, rel_threshold):
+    """Rows of `freq` whose coefficient, the matching entry of the
+    nonnegative `coeffs`, reaches rel_threshold of the maximum; in the
+    order of `freq`."""
     if not 0.0 < rel_threshold < 1.0:
         raise ValueError("relative threshold must lie in (0, 1)")
-    if not coeffs:
-        return []
-    top = max(coeffs.values())
-    kept = [f for f, c in coeffs.items() if c >= rel_threshold * top]
-    kept.sort(key=lambda f: f.entries)
-    return kept
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    if coeffs.shape != freq.shape[:1]:
+        raise ValueError(f"{coeffs.size} coefficients for {freq.shape[0]} frequencies")
+    return freq[coeffs >= rel_threshold * coeffs.max(initial=0.0)]

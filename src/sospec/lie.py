@@ -13,7 +13,7 @@ Ambient dimension must be even; odd n is rejected everywhere.
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,15 +65,12 @@ class Generator:
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Orthogonal alignment plus per-plane rotation rates.
-
-    `unit_norm` records whether the rate vector has 2-norm 1; rates are
+    """Orthogonal alignment plus per-plane rotation rates. Rates are
     identifiable only up to scale, so most of the pipeline normalizes them.
     """
 
     q: np.ndarray
     rates: np.ndarray
-    unit_norm: bool = field(init=False)
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=np.float64)
@@ -95,9 +92,6 @@ class CanonicalForm:
             raise ValueError("alignment is not orthogonal")
         if abs(np.linalg.det(q) - 1.0) > ORTHO_TOL:
             raise ValueError("alignment must have determinant +1")
-        object.__setattr__(
-            self, "unit_norm", bool(abs(np.linalg.norm(rates) - 1.0) <= 1e-12)
-        )
 
     @property
     def n(self):
@@ -106,13 +100,6 @@ class CanonicalForm:
     @property
     def r(self):
         return self.rates.shape[0]
-
-    def to_json_dict(self):
-        return {"q": self.q.tolist(), "lambda": self.rates.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(np.asarray(d["q"]), np.asarray(d["lambda"]))
 
 
 def block_diag_rates(rates):

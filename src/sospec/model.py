@@ -5,9 +5,11 @@ of free skew parameters, so it stays in SO(n) by construction), split into
 2-d blocks, and converted to radii and unit block coordinates, points on
 the torus. The network consumes the radii and the cosine/sine pairs of the
 torus characters of primitive frequencies, each character a product of
-powers of the unit block coordinates. Rotation rates enter only through
-the resonance penalty, which suppresses first-layer mass on features
-whose frequency is not orthogonal to the rates.
+powers of the unit block coordinates. The frequencies are the rows of
+lattice.primitive_set(bandwidth, n/2), a cached matrix that every stage
+reads and none stores. Rotation rates enter only through the resonance
+penalty, which suppresses first-layer mass on features whose frequency
+is not orthogonal to the rates.
 
 The pipeline is a fixed chain of closed-form stages: align, features, one
 dense stage per layer, the loss and the penalty. Each is a plain function
@@ -18,13 +20,13 @@ functions and drops the vjp.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels, lie
 from .autodiff import Var
-from .lattice import FrequencyVector, primitive_set
+from .lattice import primitive_set
 
 
 @dataclass
@@ -33,12 +35,13 @@ class GeneratorParams:
 
     layers hold (weight, bias) pairs for three ReLU hidden layers and a
     linear output; the first-layer input is [cos | sin | radii] with one
-    cos/sin pair per primitive frequency.
+    cos/sin pair per row of `freq`, the primitive frequencies of
+    `bandwidth` on n/2 blocks in lexicographic order. `freq` is derived
+    from (bandwidth, n) on each use, a cached lookup, and never stored.
     """
 
     n: int
     bandwidth: int
-    freqs: list
     skew: np.ndarray
     rates: np.ndarray
     layers: list
@@ -49,7 +52,6 @@ class GeneratorParams:
     # classes; the canonical det=+1 form is recovered by flipping the sign
     # of the last rotation rate.
     reflected: bool = False
-    _freq_matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n % 2 != 0:
@@ -76,8 +78,12 @@ class GeneratorParams:
         return self.n // 2
 
     @property
+    def freq(self):
+        return primitive_set(self.bandwidth, self.r)
+
+    @property
     def num_freqs(self):
-        return len(self.freqs)
+        return self.freq.shape[0]
 
     @property
     def feature_dim(self):
@@ -87,20 +93,10 @@ class GeneratorParams:
     def out_dim(self):
         return self.layers[-1][0].shape[1]
 
-    def freq_matrix(self):
-        """The frequencies as rows of a float64 matrix, built on first use;
-        `freqs` must not change after that (copy() starts afresh)."""
-        if self._freq_matrix is None:
-            self._freq_matrix = np.ascontiguousarray(
-                np.stack([f.as_array() for f in self.freqs]), dtype=np.float64
-            )
-        return self._freq_matrix
-
     def copy(self):
         return GeneratorParams(
             n=self.n,
             bandwidth=self.bandwidth,
-            freqs=list(self.freqs),
             skew=self.skew.copy(),
             rates=self.rates.copy(),
             layers=[(w.copy(), b.copy()) for w, b in self.layers],
@@ -145,14 +141,14 @@ def init_params(
     point at.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    freqs = primitive_set(bandwidth, n // 2)
     skew = 0.1 * rng.standard_normal(n * (n - 1) // 2)
     if rates_init is None:
         rates = rng.standard_normal(n // 2)
     else:
         rates = np.asarray(rates_init, dtype=np.float64).copy()
     rates = rates / np.linalg.norm(rates)
-    widths = [2 * len(freqs) + n // 2, hidden, hidden, hidden, out_dim]
+    feature_dim = 2 * len(primitive_set(bandwidth, n // 2)) + n // 2
+    widths = [feature_dim, hidden, hidden, hidden, out_dim]
     layers = []
     for i in range(len(widths) - 1):
         fan_in = widths[i]
@@ -164,7 +160,6 @@ def init_params(
     return GeneratorParams(
         n=n,
         bandwidth=bandwidth,
-        freqs=freqs,
         skew=skew,
         rates=rates,
         layers=layers,
@@ -326,7 +321,7 @@ def build_objective(tape, params, x, y, mu, loss_kind=None):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     mu = float(mu)
-    freq = params.freq_matrix()
+    freq = params.freq
     leaves = {name: tape.param(a) for name, a in leaf_arrays(params).items()}
     terms = []
 
@@ -370,7 +365,7 @@ def predict(params, x):
     # Each stage's vjp, and with it the stage's input, is dropped as soon
     # as the stage returns.
     h = align_stage(params.skew, x, params.reflected)[0]
-    h = features_stage(h, params.freq_matrix())[0]
+    h = features_stage(h, params.freq)[0]
     last = len(params.layers) - 1
     for i, (w, b) in enumerate(params.layers):
         h = dense_stage(h, w, b, i != last)[0]
@@ -389,25 +384,25 @@ def alignment_matrix(params):
 
 def coefficient_norms(params):
     """Per-frequency Euclidean norm of all first-layer weights touching the
-    cos and sin channels of that frequency. Zero exactly when the feature is
-    disconnected from the network."""
+    cos and sin channels of that frequency, aligned with the rows of
+    params.freq. Zero exactly when the feature is disconnected from the
+    network."""
     w1 = params.layers[0][0]
     f = params.num_freqs
     sq = np.sum(w1 * w1, axis=1)
-    csq = sq[:f] + sq[f : 2 * f]
-    return {freq: float(np.sqrt(csq[i])) for i, freq in enumerate(params.freqs)}
+    return np.sqrt(sq[:f] + sq[f : 2 * f])
 
 
 def resonance_penalty(params):
     """Plain value of the penalty term of build_objective."""
-    return float(penalty_stage(params.layers[0][0], params.rates, params.freq_matrix())[0])
+    return float(penalty_stage(params.layers[0][0], params.rates, params.freq)[0])
 
 
 def save_checkpoint(params, path, config=None):
     doc = {
         "n": params.n,
         "bandwidth": params.bandwidth,
-        "frequencies": [f.to_json() for f in params.freqs],
+        "frequencies": params.freq.astype(int).tolist(),
         "skewParams": params.skew.tolist(),
         "lambda": params.rates.tolist(),
         "layers": [{"weight": w.tolist(), "bias": b.tolist()} for w, b in params.layers],
@@ -421,18 +416,24 @@ def save_checkpoint(params, path, config=None):
 
 
 def load_checkpoint(path):
-    """(params, saved config) from a checkpoint file; a file that is not
-    JSON or misses a key raises ValueError naming the file."""
+    """(params, saved config) from a checkpoint file. A file that is not a
+    JSON object, misses a key, has a non-integer n or bandwidth, a config
+    that is not an object, or frequencies other than the rows of
+    primitive_set(bandwidth, n/2) raises ValueError naming the file."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: checkpoint is not a JSON object")
     try:
+        n, bandwidth, frequencies = doc["n"], doc["bandwidth"], doc["frequencies"]
+        if type(n) is not int or type(bandwidth) is not int:
+            raise ValueError(f"{path}: checkpoint n and bandwidth must be integers")
         params = GeneratorParams(
-            n=doc["n"],
-            bandwidth=doc["bandwidth"],
-            freqs=[FrequencyVector(tuple(m)) for m in doc["frequencies"]],
+            n=n,
+            bandwidth=bandwidth,
             skew=np.asarray(doc["skewParams"]),
             rates=np.asarray(doc["lambda"]),
             layers=[(np.asarray(l["weight"]), np.asarray(l["bias"])) for l in doc["layers"]],
@@ -441,4 +442,12 @@ def load_checkpoint(path):
         )
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint has no {exc}") from exc
-    return params, doc.get("config", {})
+    if frequencies != params.freq.astype(int).tolist():
+        raise ValueError(
+            f"{path}: frequencies are not the primitive set of bandwidth {bandwidth} "
+            f"on {params.r} blocks"
+        )
+    config = doc.get("config", {})
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: checkpoint config is not a JSON object")
+    return params, config

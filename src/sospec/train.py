@@ -207,7 +207,7 @@ class DiscoveryResult:
     rates_spectral: np.ndarray
     nullity: int
     reliable: bool
-    surviving: list
+    surviving: np.ndarray
     agreement: float
 
 
@@ -224,7 +224,7 @@ def discover(params):
     cf = params.canonical_form()
     direct = assemble_generator(cf)
     coeffs = model.coefficient_norms(params)
-    surviving = surviving_frequencies(coeffs, REL_THRESHOLD)
+    surviving = surviving_frequencies(params.freq, coeffs, REL_THRESHOLD)
     rates_hat, nullity = estimate_lambda(surviving, params.r)
     if params.reflected:
         rates_hat = rates_hat.copy()
@@ -267,7 +267,7 @@ def evaluate_params(params, ds, cfg, report):
     report.spectral_rates = disc.rates_spectral.tolist()
     report.nullity = disc.nullity
     report.rates_reliable = disc.reliable
-    report.surviving = [f.to_json() for f in disc.surviving]
+    report.surviving = disc.surviving.astype(int).tolist()
 
     true_gen = ds.meta.true_generator
     if true_gen is not None:

@@ -179,7 +179,7 @@ def staged_objective(tape, params, x, y, mu, loss_kind=None):
     loss_kind = loss_kind or params.loss_kind
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    freq = params.freq_matrix()
+    freq = params.freq
     leaves = {name: tape.param(a) for name, a in model.leaf_arrays(params).items()}
     h = tape.record(model.align_stage, (leaves["skew"],), x, params.reflected)
     h = tape.record(model.features_stage, (h,), freq)

@@ -140,7 +140,7 @@ class TestGradchecks:
         rng = np.random.default_rng(9)
         z = rng.normal(size=(4, 6))
         z[np.abs(z) < 0.2] += 0.5
-        freq = model.init_params(6, 2, seed=0).freq_matrix()
+        freq = model.init_params(6, 2, seed=0).freq
         weights = rng.normal(size=(4, 2 * freq.shape[0] + 3))
 
         def build(t, ps):
@@ -172,7 +172,7 @@ class TestGradchecks:
         # resonance penalty: row sums of w0 squared, cos/sin slices, rates
         params = model.init_params(4, 2, hidden=6, seed=17, first_layer_scale=1.0)
         rng = np.random.default_rng(6)
-        freq = params.freq_matrix()
+        freq = params.freq
 
         def build(t, ps):
             return t.record(model.penalty_stage, ps, freq)

@@ -307,6 +307,28 @@ class TestTrainEval:
         assert f"error: {bad}: invalid JSON (Expecting property name" in capsys.readouterr().err
         assert not (tmp_path / "eval.json").exists()
 
+    @pytest.mark.parametrize("reshape, found", [
+        (lambda doc: [doc], "checkpoint is not a JSON object"),
+        (lambda doc: {**doc, "config": [doc["config"]]}, "checkpoint config is not a JSON object"),
+    ], ids=["list", "config-list"])
+    def test_checkpoint_of_the_wrong_shape_exits_one(self, tmp_path, dataset_file, capsys,
+                                                     reshape, found):
+        bad = tmp_path / "bad.json"
+        model.save_checkpoint(model.init_params(4, 1, seed=0), bad, config={"seed": 0})
+        bad.write_text(json.dumps(reshape(json.loads(bad.read_text()))))
+        rc = run_cli("eval", "--checkpoint", str(bad), "--data", str(dataset_file),
+                     "--out", str(tmp_path / "eval.json"))
+        assert rc == 1
+        assert f"error: {bad}: {found}" in capsys.readouterr().err
+        assert not (tmp_path / "eval.json").exists()
+
+    def test_meta_header_of_the_wrong_shape_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"meta": [1]}\n')
+        rc = run_cli("train", "--data", str(bad), "--out", str(tmp_path / "run"))
+        assert rc == 1
+        assert f"error: {bad}: line 1: meta header is not a JSON object" in capsys.readouterr().err
+
     def test_nonfinite_learning_rate_exits_one_before_training(self, tmp_path, dataset_file,
                                                                capsys):
         rc = run_cli("train", "--data", str(dataset_file), "--lr", "nan",

@@ -5,55 +5,26 @@ import pytest
 
 from oracles import enumerate_primitives_bruteforce, rational_nullspace, rational_rank
 from sospec.lattice import (
-    FrequencyVector,
     TorusPoint,
     character,
     estimate_lambda,
-    primitive,
     primitive_set,
     resonant_subset,
     surviving_frequencies,
 )
 
 
-def fv(*entries):
-    return FrequencyVector(tuple(entries))
-
-
-class TestPrimitive:
-    def test_gcd_reduction(self):
-        assert primitive((2, 4)).entries == (1, 2)
-
-    def test_leading_zero(self):
-        assert primitive((0, 3)).entries == (0, 1)
-
-    def test_sign_canonicalization(self):
-        assert primitive((-2, -2)).entries == (1, 1)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            primitive((0, 0))
-
-    def test_idempotent_and_scale_invariant(self):
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            m = tuple(int(v) for v in rng.integers(-5, 6, size=rng.integers(1, 5)))
-            if all(v == 0 for v in m):
-                continue
-            p = primitive(m)
-            assert primitive(p.entries).entries == p.entries
-            assert p.primitive
-            for k in (-3, -2, -1, 1, 2, 3):
-                scaled = tuple(k * v for v in m)
-                assert primitive(scaled).entries == p.entries
+def as_tuples(freq):
+    """Rows of a frequency matrix as tuples of ints."""
+    return [tuple(m) for m in np.asarray(freq).astype(int).tolist()]
 
 
 class TestPrimitiveSet:
     def test_bandwidth1_r1(self):
-        assert [f.entries for f in primitive_set(1, 1)] == [(1,)]
+        assert as_tuples(primitive_set(1, 1)) == [(1,)]
 
     def test_bandwidth1_r2(self):
-        assert [f.entries for f in primitive_set(1, 2)] == [
+        assert as_tuples(primitive_set(1, 2)) == [
             (0, 1),
             (1, -1),
             (1, 0),
@@ -61,25 +32,30 @@ class TestPrimitiveSet:
         ]
 
     def test_bandwidth2_r2_extends_bandwidth1(self):
-        small = {f.entries for f in primitive_set(1, 2)}
-        large = {f.entries for f in primitive_set(2, 2)}
+        small = set(as_tuples(primitive_set(1, 2)))
+        large = set(as_tuples(primitive_set(2, 2)))
         assert large - small == {(1, -2), (1, 2), (2, -1), (2, 1)}
 
     def test_matches_bruteforce_oracle(self):
         for bandwidth in (1, 2, 3):
             for r in (1, 2, 3):
-                got = [f.entries for f in primitive_set(bandwidth, r)]
+                got = as_tuples(primitive_set(bandwidth, r))
                 assert got == enumerate_primitives_bruteforce(bandwidth, r)
 
     def test_no_two_members_on_a_ray(self):
-        members = [f.entries for f in primitive_set(3, 2)]
+        members = as_tuples(primitive_set(3, 2))
         for i, a in enumerate(members):
             for b in members[i + 1 :]:
                 # cross product zero would mean collinear
                 assert a[0] * b[1] - a[1] * b[0] != 0
 
-    def test_all_flagged_primitive(self):
-        assert all(f.primitive for f in primitive_set(3, 3))
+    def test_cached_read_only_float_matrix(self):
+        freq = primitive_set(2, 3)
+        assert primitive_set(2, 3) is freq
+        assert freq.dtype == np.float64 and freq.shape == (49, 3)
+        assert not freq.flags.writeable
+        with pytest.raises(ValueError):
+            freq[0, 0] = 5.0
 
 
 class TestCharacter:
@@ -90,11 +66,11 @@ class TestCharacter:
 
     def test_single_frequency(self):
         p = TorusPoint(np.array([1.0, 1.0]), np.array([np.pi / 2, 0.3]))
-        assert character(fv(1, 0), p) == pytest.approx(1j, abs=1e-12)
+        assert character((1, 0), p) == pytest.approx(1j, abs=1e-12)
 
     def test_angle_sum(self):
         p = TorusPoint(np.array([1.0, 1.0]), np.array([np.pi / 3, 2 * np.pi / 3]))
-        assert character(fv(1, 1), p) == pytest.approx(-1.0 + 0.0j, abs=1e-12)
+        assert character((1, 1), p) == pytest.approx(-1.0 + 0.0j, abs=1e-12)
 
     def test_unit_modulus(self):
         rng = np.random.default_rng(6)
@@ -106,31 +82,31 @@ class TestCharacter:
 class TestResonantSubset:
     def test_diagonal_rates(self):
         members = resonant_subset(np.array([1.0, 1.0]), primitive_set(1, 2), 1e-9)
-        assert [m.entries for m in members] == [(1, -1)]
+        assert as_tuples(members) == [(1, -1)]
 
     def test_single_plane_rates(self):
         members = resonant_subset(np.array([1.0, 0.0]), primitive_set(1, 2), 1e-9)
-        assert [m.entries for m in members] == [(0, 1)]
+        assert as_tuples(members) == [(0, 1)]
 
     def test_incommensurate_rates_empty(self):
         lam = np.array([1.0, np.sqrt(2.0)])
         candidates = primitive_set(1, 2)
         # smallest |<m, lam>| over the candidates is sqrt(2) - 1
-        smallest = min(abs(float(np.dot(m.as_array(), lam))) for m in candidates)
+        smallest = min(abs(float(np.dot(m, lam))) for m in candidates)
         assert smallest == pytest.approx(np.sqrt(2.0) - 1.0)
-        assert resonant_subset(lam, candidates, 1e-9) == []
+        assert resonant_subset(lam, candidates, 1e-9).shape == (0, 2)
 
     def test_members_sorted_by_entries(self):
         candidates = primitive_set(1, 3)[::-1]
         members = resonant_subset(np.array([1.0, -1.0, 0.0]), candidates, 1e-9)
-        assert [m.entries for m in members] == [(0, 0, 1), (1, 1, -1), (1, 1, 0), (1, 1, 1)]
+        assert as_tuples(members) == [(0, 0, 1), (1, 1, -1), (1, 1, 0), (1, 1, 1)]
 
     def test_membership_invariant_enforced(self):
         lam = np.array([1.0, -1.0])
         members = resonant_subset(lam, primitive_set(2, 2), 0.0)
-        assert [m.entries for m in members] == [(1, 1)]
+        assert as_tuples(members) == [(1, 1)]
         for m in members:
-            assert float(np.dot(m.as_array(), lam)) == 0.0
+            assert float(np.dot(m, lam)) == 0.0
 
 
 class TestResonanceInvariance:
@@ -146,7 +122,7 @@ class TestResonanceInvariance:
             lam = self._rational_rates(ints)
             r = lam.shape[0]
             members = resonant_subset(lam, primitive_set(2, r), 0.0)
-            assert members, f"expected exact resonances for {ints}"
+            assert len(members), f"expected exact resonances for {ints}"
             for _ in range(20):
                 theta = rng.uniform(0, 2 * np.pi, size=r)
                 t = rng.uniform(-np.pi, np.pi)
@@ -161,7 +137,7 @@ class TestResonanceInvariance:
         theta = np.array([0.7, 2.1])
         p0 = TorusPoint(np.ones(2), theta)
         for m in primitive_set(2, 2):
-            dot = float(np.dot(m.as_array(), lam))
+            dot = float(np.dot(m, lam))
             if dot == 0.0:
                 continue
             t = np.pi / dot  # advances the character phase by pi
@@ -183,7 +159,7 @@ class TestResonanceInvariance:
         mesh = np.meshgrid(*axes, indexing="ij")
         phase0 = sum(mk * ax for mk, ax in zip(m0, mesh))
         values = np.exp(1j * phase0)
-        for m in [f.entries for f in primitive_set(2, r)] + [tuple([0] * r)]:
+        for m in as_tuples(primitive_set(2, r)) + [tuple([0] * r)]:
             phase = sum(mk * ax for mk, ax in zip(m, mesh))
             coeff = np.mean(values * np.exp(-1j * phase))
             expected = 1.0 if m == m0 else 0.0
@@ -193,22 +169,22 @@ class TestResonanceInvariance:
 
 class TestEstimateLambda:
     def test_single_row(self):
-        lam, nullity = estimate_lambda([fv(1, 1)], 2)
+        lam, nullity = estimate_lambda([(1, 1)], 2)
         assert nullity == 1
         assert np.allclose(lam, np.array([1.0, -1.0]) / np.sqrt(2.0), atol=1e-12)
 
     def test_collinear_rows(self):
-        lam, nullity = estimate_lambda([fv(1, 1), fv(2, 2)], 2)
+        lam, nullity = estimate_lambda([(1, 1), (2, 2)], 2)
         assert nullity == 1
         assert np.allclose(lam, np.array([1.0, -1.0]) / np.sqrt(2.0), atol=1e-12)
 
     def test_full_rank_unreliable(self):
-        lam, nullity = estimate_lambda([fv(1, 0), fv(0, 1)], 2)
+        lam, nullity = estimate_lambda(np.eye(2), 2)
         assert nullity == 0
         assert np.isclose(np.linalg.norm(lam), 1.0)
 
     def test_empty_surviving(self):
-        lam, nullity = estimate_lambda([], 3)
+        lam, nullity = estimate_lambda(np.zeros((0, 3)), 3)
         assert nullity == 3
         assert np.isclose(np.linalg.norm(lam), 1.0)
 
@@ -219,7 +195,7 @@ class TestEstimateLambda:
             base = rng.integers(-3, 4, size=(r - 1, r))
             if rational_rank(base.tolist()) != r - 1:
                 continue
-            lam, nullity = estimate_lambda([fv(*row) for row in base], r)
+            lam, nullity = estimate_lambda(base, r)
             assert nullity >= 1
             mat = base.astype(float)
             assert np.linalg.norm(mat @ lam) <= 1e-8 * np.linalg.norm(mat)
@@ -241,7 +217,7 @@ class TestEstimateLambda:
             assert len(basis) == 1
             exact = np.array([float(x) for x in basis[0]])
             exact = exact / np.linalg.norm(exact)
-            lam, nullity = estimate_lambda([fv(*row) for row in rows], r)
+            lam, nullity = estimate_lambda(rows, r)
             assert nullity == 1
             delta = min(np.linalg.norm(lam - exact), np.linalg.norm(lam + exact))
             assert delta <= 1e-8
@@ -250,19 +226,22 @@ class TestEstimateLambda:
 
 class TestSurvivingFrequencies:
     def test_threshold_filters(self):
-        coeffs = {fv(1, 1): 1.0, fv(1, 0): 0.01}
-        assert [f.entries for f in surviving_frequencies(coeffs, 0.1)] == [(1, 1)]
+        freq = np.array([(1.0, 0.0), (1.0, 1.0)])
+        assert as_tuples(surviving_frequencies(freq, [0.01, 1.0], 0.1)) == [(1, 1)]
 
     def test_all_equal_all_survive(self):
-        coeffs = {f: 0.5 for f in primitive_set(1, 2)}
-        got = surviving_frequencies(coeffs, 0.1)
-        assert [f.entries for f in got] == [(0, 1), (1, -1), (1, 0), (1, 1)]
+        got = surviving_frequencies(primitive_set(1, 2), np.full(4, 0.5), 0.1)
+        assert as_tuples(got) == [(0, 1), (1, -1), (1, 0), (1, 1)]
 
     def test_empty_input(self):
-        assert surviving_frequencies({}, 0.1) == []
+        assert surviving_frequencies(np.zeros((0, 2)), [], 0.1).shape == (0, 2)
 
     def test_threshold_bounds(self):
         with pytest.raises(ValueError):
-            surviving_frequencies({fv(1): 1.0}, 0.0)
+            surviving_frequencies(np.ones((1, 1)), [1.0], 0.0)
         with pytest.raises(ValueError):
-            surviving_frequencies({fv(1): 1.0}, 1.0)
+            surviving_frequencies(np.ones((1, 1)), [1.0], 1.0)
+
+    def test_one_coefficient_per_row(self):
+        with pytest.raises(ValueError, match="3 coefficients for 4 frequencies"):
+            surviving_frequencies(primitive_set(1, 2), [1.0, 1.0, 1.0], 0.1)

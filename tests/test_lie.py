@@ -207,16 +207,3 @@ class TestSerialization:
         back = Generator.from_json_dict(json.loads(blob))
         assert np.array_equal(back.entries, b.entries)
         assert back.n == 4
-
-    def test_canonical_form_roundtrip(self):
-        rng = np.random.default_rng(23)
-        cf = CanonicalForm(random_special_orthogonal(4, rng), np.array([0.6, -0.8]))
-        blob = json.dumps(cf.to_json_dict())
-        back = CanonicalForm.from_json_dict(json.loads(blob))
-        assert np.array_equal(back.q, cf.q)
-        assert np.array_equal(back.rates, cf.rates)
-        assert back.unit_norm == cf.unit_norm
-
-    def test_unit_norm_flag(self):
-        assert CanonicalForm(np.eye(2), np.array([1.0])).unit_norm
-        assert not CanonicalForm(np.eye(2), np.array([2.0])).unit_norm

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,19 +8,14 @@ import sospec.model as model
 from oracles import fd_gradient, max_rel_error, staged_objective, traced_peak
 from sospec import kernels, lie
 from sospec.autodiff import Tape
-from sospec.lattice import FrequencyVector
 from sospec.lie import matrix_exp, skew_from_params
 
 
 def hand_params(n, bandwidth, w1, hidden_layers, rates=None, skew=None):
     """GeneratorParams with explicit weights (hidden_layers: list of (w, b))."""
-    from sospec.lattice import primitive_set
-
-    freqs = primitive_set(bandwidth, n // 2)
     return model.GeneratorParams(
         n=n,
         bandwidth=bandwidth,
-        freqs=freqs,
         skew=np.zeros(n * (n - 1) // 2) if skew is None else skew,
         rates=np.ones(n // 2) / np.sqrt(n // 2) if rates is None else rates,
         layers=[(w1, np.zeros(w1.shape[1]))] + hidden_layers,
@@ -35,7 +31,7 @@ def align_rows(params, x):
 def features_of(params, x):
     """The cos, sin and radii slices of features_stage's value for one
     input vector."""
-    feats, _ = model.features_stage(align_rows(params, x[None]), params.freq_matrix())
+    feats, _ = model.features_stage(align_rows(params, x[None]), params.freq)
     f = params.num_freqs
     return feats[0, :f], feats[0, f : 2 * f], feats[0, 2 * f :]
 
@@ -142,7 +138,7 @@ class TestFeaturize:
         rates = np.array([1.0, -1.0]) / np.sqrt(2.0)
         gen = lie.assemble_generator(lie.CanonicalForm(np.eye(4), rates))
         rng = np.random.default_rng(11)
-        idx = params.freqs.index(FrequencyVector((1, 1)))  # resonant ray
+        idx = params.freq.tolist().index([1, 1])  # resonant ray
         for _ in range(20):
             x = rng.normal(size=4)
             t = rng.uniform(-np.pi, np.pi)
@@ -154,7 +150,7 @@ class TestFeaturize:
 
     def test_value_is_the_kernels_blocks_side_by_side(self):
         z = np.random.default_rng(16).normal(size=(33, 6))
-        freq = model.init_params(6, 2, seed=17).freq_matrix()
+        freq = model.init_params(6, 2, seed=17).freq
         feats, _ = model.features_stage(z, freq)
         # torus_fwd's columns into a buffer of their own, then the radii.
         radii, unit = kernels.block_polar_fwd(z)
@@ -189,19 +185,18 @@ class TestPredict:
         assert model.predict(params, np.array([1.0, 0.0])) == pytest.approx([0.4], abs=1e-12)
 
     def test_frequency_relabeling_invariance(self):
+        # Permuting the frequency rows together with the first layer's cos
+        # and sin rows leaves the first dense stage's output unchanged.
         params = model.init_params(4, 1, seed=14)
-        rng = np.random.default_rng(15)
-        x = rng.normal(size=(8, 4))
-        base = model.predict(params, x)
-        # swap two frequencies together with their cos and sin rows
-        perm = params.copy()
-        f = perm.num_freqs
-        i, j = 1, 3
-        perm.freqs[i], perm.freqs[j] = perm.freqs[j], perm.freqs[i]
-        w1 = perm.layers[0][0]
-        w1[[i, j]] = w1[[j, i]]
-        w1[[f + i, f + j]] = w1[[f + j, f + i]]
-        assert np.allclose(model.predict(perm, x), base, atol=1e-12)
+        z = align_rows(params, np.random.default_rng(15).normal(size=(8, 4)))
+        freq = params.freq
+        f = freq.shape[0]
+        perm = np.roll(np.arange(f), 1)
+        w, b = params.layers[0]
+        w_perm = w[np.concatenate([perm, f + perm, np.arange(2 * f, w.shape[0])])]
+        base = model.dense_stage(model.features_stage(z, freq)[0], w, b, True)[0]
+        moved = model.dense_stage(model.features_stage(z, freq[perm])[0], w_perm, b, True)[0]
+        assert np.allclose(moved, base, atol=1e-12)
 
     def test_holds_one_stage_at_a_time(self):
         # Each stage's input is freed once its output exists, so the peak
@@ -217,15 +212,17 @@ class TestCoefficientNorms:
     def test_zero_first_layer(self):
         params = model.init_params(4, 1, seed=16)
         params.layers[0][0][:] = 0.0
-        assert all(v == 0.0 for v in model.coefficient_norms(params).values())
+        assert np.all(model.coefficient_norms(params) == 0.0)
 
     def test_single_weight(self):
         params = model.init_params(4, 1, seed=17)
         params.layers[0][0][:] = 0.0
-        idx = params.freqs.index(FrequencyVector((1, 1)))
+        idx = params.freq.tolist().index([1, 1])
         params.layers[0][0][idx, 2] = 3.0  # cos channel
         norms = model.coefficient_norms(params)
-        assert norms[FrequencyVector((1, 1))] == pytest.approx(3.0, abs=1e-15)
+        assert norms.shape == (params.num_freqs,)
+        assert norms[idx] == pytest.approx(3.0, abs=1e-15)
+        assert np.count_nonzero(norms) == 1
 
     def test_pythagorean_pair(self):
         w1 = np.zeros((3, 1))
@@ -234,7 +231,7 @@ class TestCoefficientNorms:
         hidden = [(np.zeros((1, 1)), np.zeros(1))] * 3
         params = hand_params(2, 1, w1, [(w.copy(), b.copy()) for w, b in hidden])
         norms = model.coefficient_norms(params)
-        assert norms[FrequencyVector((1,))] == pytest.approx(5.0, abs=1e-12)
+        assert norms[params.freq.tolist().index([1])] == pytest.approx(5.0, abs=1e-12)
 
 
 class TestResonancePenalty:
@@ -242,7 +239,7 @@ class TestResonancePenalty:
         params = model.init_params(4, 1, seed=18)
         params.rates = np.array([1.0, -1.0]) / np.sqrt(2.0)
         params.layers[0][0][:] = 0.0
-        idx = params.freqs.index(FrequencyVector((1, 1)))
+        idx = params.freq.tolist().index([1, 1])
         params.layers[0][0][idx, :] = 1.3
         assert model.resonance_penalty(params) == 0.0
 
@@ -250,7 +247,7 @@ class TestResonancePenalty:
         params = model.init_params(4, 1, seed=19)
         params.rates = np.array([1.0, 0.0])
         params.layers[0][0][:] = 0.0
-        idx = params.freqs.index(FrequencyVector((1, 0)))
+        idx = params.freq.tolist().index([1, 0])
         params.layers[0][0][idx, 0] = 2.0
         # (C * <m, rates>)^2 = (2 * 1)^2
         assert model.resonance_penalty(params) == pytest.approx(4.0, abs=1e-15)
@@ -282,7 +279,7 @@ class TestInvarianceCertificate:
         f = params.num_freqs
         w1 = params.layers[0][0]
         w1[:] = 0.0
-        idx = params.freqs.index(FrequencyVector((1, 1)))
+        idx = params.freq.tolist().index([1, 1])
         w1[idx, :] = rng.normal(size=w1.shape[1])
         w1[f + idx, :] = rng.normal(size=w1.shape[1])
         w1[2 * f :, :] = rng.normal(size=(params.r, w1.shape[1]))
@@ -434,7 +431,8 @@ class TestCheckpoint:
         loaded, cfg = model.load_checkpoint(path)
         assert cfg == {"seed": 5}
         assert loaded.n == params.n
-        assert loaded.freqs == params.freqs
+        assert doc["frequencies"] == params.freq.astype(int).tolist()
+        assert loaded.freq is params.freq
         assert np.array_equal(loaded.skew, params.skew)
         assert np.array_equal(loaded.rates, params.rates)
         for (w1, b1), (w2, b2) in zip(loaded.layers, params.layers):
@@ -443,3 +441,17 @@ class TestCheckpoint:
         rng = np.random.default_rng(27)
         x = rng.normal(size=(4, 4))
         assert np.array_equal(model.predict(loaded, x), model.predict(params, x))
+
+    @pytest.mark.parametrize("edit, found", [
+        (lambda doc: {**doc, "frequencies": [m + [0] for m in doc["frequencies"]]},
+         "frequencies are not the primitive set of bandwidth 2 on 2 blocks"),
+        (lambda doc: {**doc, "frequencies": doc["frequencies"][::-1]},
+         "frequencies are not the primitive set of bandwidth 2 on 2 blocks"),
+        (lambda doc: {**doc, "bandwidth": [2]}, "checkpoint n and bandwidth must be integers"),
+    ], ids=["wider", "reordered", "bandwidth-list"])
+    def test_lattice_must_be_the_primitive_set(self, tmp_path, edit, found):
+        path = tmp_path / "ckpt.json"
+        model.save_checkpoint(model.init_params(4, 2, seed=28), path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {found}")):
+            model.load_checkpoint(path)

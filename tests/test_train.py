@@ -8,7 +8,6 @@ import pytest
 import sospec.model as model
 import sospec.pool as pool_mod
 from sospec.data import Dataset, DatasetMeta, synth_invariant_regression
-from sospec.lattice import FrequencyVector
 from sospec.lie import CanonicalForm, assemble_generator, generator_cosine_similarity
 import sospec.train as train_mod
 from sospec.train import TrainConfig, discover, mu_schedule, split_indices, train
@@ -372,7 +371,7 @@ class TestDiscover:
         params.rates = np.array([1.0, -1.0]) / np.sqrt(2.0)
         w1 = params.layers[0][0]
         w1[:] = 0.0
-        idx = params.freqs.index(FrequencyVector((1, 1)))
+        idx = params.freq.tolist().index([1, 1])
         w1[idx, 0] = 1.0
         w1[params.num_freqs + idx, 1] = -0.5
         return params
@@ -389,8 +388,8 @@ class TestDiscover:
     def test_full_rank_surviving_flagged(self):
         params = self._true_frame_params()
         w1 = params.layers[0][0]
-        idx01 = params.freqs.index(FrequencyVector((0, 1)))
-        idx10 = params.freqs.index(FrequencyVector((1, 0)))
+        idx01 = params.freq.tolist().index([0, 1])
+        idx10 = params.freq.tolist().index([1, 0])
         w1[:] = 0.0
         w1[idx01, 0] = 1.0
         w1[idx10, 0] = 1.0
@@ -405,4 +404,4 @@ class TestDiscover:
             CanonicalForm(np.eye(4), np.array([1.0, -1.0]) / np.sqrt(2.0))
         )
         assert np.allclose(disc.spectral.entries, expected.entries, atol=1e-12)
-        assert [f.entries for f in disc.surviving] == [(1, 1)]
+        assert disc.surviving.tolist() == [[1, 1]]
