@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import model, study
+from . import fields, model, study
 from .data import (
     double_pendulum_task,
     load_dataset,
@@ -27,9 +27,10 @@ from .train import RunReport, TrainConfig, evaluate_params, train
 
 TASKS = ("pendulum6d", "synth", "synth-cls")
 
-# TrainConfig fields settable via config file or flags, with the plain
-# type (int or float) that parses each from text.
+# TrainConfig fields settable via config file or flags, with the plain type
+# (int or float) that parses each from text and that a checkpoint holds.
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+_REPORT_METRICS = ("testMse", "accuracy", "invarianceError", "cosineSimilarity")
 
 
 class CliError(Exception):
@@ -116,6 +117,14 @@ def _parse_rates(raw):
     return rates
 
 
+def _ambient_dimension(n):
+    """--n of a synth task, 4 when not given; even and at least 2."""
+    if n is not None and (n < 2 or n % 2):
+        rule = "even" if n % 2 else "at least 2"
+        raise CliError(f"ambient dimension must be {rule}, got {n} from --n")
+    return 4 if n is None else n
+
+
 def cmd_gen_data(args):
     # A synth target is scaled by its standard deviation over the sample,
     # which one sample leaves at zero.
@@ -129,9 +138,7 @@ def cmd_gen_data(args):
             raise CliError("pendulum6d is a 6-dimensional task")
         ds = double_pendulum_task(args.n_samples, args.sigma, args.seed)
     else:
-        n = args.n if args.n is not None else 4
-        if n % 2 != 0:
-            raise CliError(f"ambient dimension must be even, got {n}")
+        n = _ambient_dimension(args.n)
         rates = None if args.rates is None else _parse_rates(args.rates)
         cf = synth_generator(n, args.seed, rates, args.generator)
         maker = (
@@ -167,17 +174,14 @@ def cmd_train(args):
 def cmd_eval(args):
     params, saved_cfg = model.load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     ds = load_dataset(_require_file(args.data, "dataset"))
-    # Skips resolvedLoss, and the protocol values older checkpoints carry as
-    # settings that are now fixed (loss, mu_ramp, rel_threshold, ...).
-    cfg_fields = {k: v for k, v in saved_cfg.items() if k in _CONFIG_FIELDS}
-    if not cfg_fields:
-        raise CliError("checkpoint carries no training configuration")
+    # Ignores resolvedLoss and the settings older checkpoints carry that are now fixed.
+    where = f"{args.checkpoint}: checkpoint config"
+    cfg = TrainConfig(**{k: fields.read(saved_cfg, k, t, where) for k, t in _CONFIG_FIELDS.items()})
     if (ds.meta.n, ds.meta.out_dim) != (params.n, params.out_dim):
         raise CliError(
             f"dataset {args.data} has n={ds.meta.n} and out_dim={ds.meta.out_dim}, "
             f"checkpoint {args.checkpoint} has n={params.n} and out_dim={params.out_dim}"
         )
-    cfg = TrainConfig(**cfg_fields)
     report = RunReport(task=ds.meta.task, seed=cfg.seed, config=saved_cfg)
     evaluate_params(params, ds, cfg, report)
     _write_json(args.out, report.to_json_dict())
@@ -204,7 +208,7 @@ def cmd_sweep(args):
         values=_parse_values(args.values, args.axis) if args.values else [],
         repeats=args.repeats,
         task=args.task,
-        n=args.n if args.n is not None else 4,
+        n=_ambient_dimension(args.n),
         rates=tuple(_parse_rates(args.rates)) if args.rates else (1, -1),
         n_samples=args.n_samples,
         noise_sigma=args.sigma,
@@ -242,10 +246,12 @@ def cmd_report(args):
             doc = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise CliError(f"unreadable report {path}: {exc}") from exc
-        if doc.get("failureReason"):
+        where = f"{path}: report"
+        if fields.read(doc, "failureReason", str, where, None):
             continue
-        task = doc.get("task", "unknown")
-        rows.setdefault(task, []).append(doc)
+        row = {key: fields.read(doc, key, float, where, None) for key in _REPORT_METRICS}
+        row["cosineSimilarity"] = row["cosineSimilarity"] and abs(row["cosineSimilarity"])
+        rows.setdefault(fields.read(doc, "task", str, where, "unknown"), []).append(row)
     if not rows:
         raise CliError(f"no run reports found under {args.dir}")
     summary = []
@@ -255,15 +261,8 @@ def cmd_report(args):
     ]
     for task in sorted(rows):
         docs = rows[task]
-        cos_vals = [abs(d["cosineSimilarity"]) for d in docs if d.get("cosineSimilarity") is not None]
-        entry = {
-            "task": task,
-            "nRuns": len(docs),
-            "testMse": _fmt_mean_std([d.get("testMse") for d in docs]),
-            "accuracy": _fmt_mean_std([d.get("accuracy") for d in docs]),
-            "invarianceError": _fmt_mean_std([d.get("invarianceError") for d in docs]),
-            "cosineSimilarity": _fmt_mean_std(cos_vals),
-        }
+        entry = {"task": task, "nRuns": len(docs)}
+        entry.update({key: _fmt_mean_std([d[key] for d in docs]) for key in _REPORT_METRICS})
         summary.append(entry)
         lines.append(
             f"| {task} | {entry['nRuns']} | {entry['testMse']} | {entry['accuracy']} "
@@ -365,10 +364,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, FileNotFoundError) as exc:
+    except (CliError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # unexpected: runtime failure

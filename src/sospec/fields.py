@@ -1,0 +1,76 @@
+"""The one reader of the fields of an input document.
+
+Datasets, checkpoints, their training configurations and run reports read
+every field through `read`, which decides what a valid field is. A field
+that is not raises ValueError("<where> <key> is not <kind>"), where `where`
+names the file, the document and the key path above `key`; the CLI turns
+that into exit code 1.
+"""
+
+import sys
+from dataclasses import dataclass
+
+import numpy as np
+
+REQUIRED = object()
+_WHAT = {
+    int: "a nonnegative integer",
+    float: "a finite number",
+    bool: "true or false",
+    str: "a string",
+    dict: "a JSON object",
+    list: "a list",
+}
+
+
+@dataclass(frozen=True)
+class Array:
+    """The kind of a float64 array of `ndim` dimensions whose every cell is
+    a finite JSON number."""
+
+    ndim: int
+
+
+def read(doc, key, kind, where, default=REQUIRED):
+    """doc[key] checked against `kind`: `int` (a nonnegative integer below
+    2**63), `float` (a finite int or float), `bool`, `str`, `dict`, `list`,
+    a tuple of strings (one of them) or `Array(ndim)` (returned as a new
+    float64 array). A bool is no number.
+
+    A missing key returns `default` if there is one. A null value returns
+    None where `default` is None, that is where null means absent. A `doc`
+    that is not a JSON object, and every other case, raises ValueError.
+    """
+    if type(doc) is not dict:
+        raise ValueError(f"{where} is not a JSON object")
+    if key not in doc:
+        if default is REQUIRED:
+            raise ValueError(f"{where} has no {key!r}")
+        return default
+    value = doc[key]
+    if value is None and default is None:
+        return None
+    if isinstance(kind, Array):
+        cells = np.array(value, dtype=object)
+        if cells.ndim == kind.ndim and set(map(type, cells.flat)) <= {int, float}:
+            try:
+                array = cells.astype(np.float64)
+            except OverflowError:  # an int too large for a float
+                pass
+            else:
+                if np.isfinite(array).all():
+                    return array
+        raise ValueError(f"{where} {key} is not a {kind.ndim}-d array of finite numbers")
+    if isinstance(kind, tuple):
+        if type(value) is str and value in kind:
+            return value
+        raise ValueError(f"{where} {key} is not one of {', '.join(map(repr, kind))}")
+    if kind is int:
+        ok = type(value) is int and 0 <= value < 2**63
+    elif kind is float:  # NaN fails every comparison
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    else:
+        ok = type(value) is kind
+    if not ok:
+        raise ValueError(f"{where} {key} is not {_WHAT[kind]}")
+    return value

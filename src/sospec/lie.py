@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fields
+
 # Planar rotation generator.
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -56,11 +58,15 @@ class Generator:
         return {"n": self.n, "entries": self.entries.tolist()}
 
     @classmethod
-    def from_json_dict(cls, d):
-        entries = np.asarray(d["entries"], dtype=np.float64)
-        if entries.shape != (d["n"], d["n"]):
-            raise ValueError("generator entries do not match declared dimension")
-        return cls(entries)
+    def from_json_dict(cls, d, where):
+        n = fields.read(d, "n", int, where)
+        entries = fields.read(d, "entries", fields.Array(2), where)
+        try:
+            if entries.shape != (n, n):
+                raise ValueError(f"entries have shape {entries.shape}, not ({n}, {n})")
+            return cls(entries)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)

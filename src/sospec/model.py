@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, lie
+from . import fields, kernels, lie
 from .autodiff import Var
 from .lattice import primitive_set
 
@@ -67,6 +67,8 @@ class GeneratorParams:
             (np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
             for w, b in self.layers
         ]
+        if not self.layers:
+            raise ValueError("there must be at least one layer")
         width = self.feature_dim
         for w, b in self.layers:
             if w.ndim != 2 or w.shape[0] != width or b.shape != (w.shape[1],):
@@ -416,38 +418,36 @@ def save_checkpoint(params, path, config=None):
 
 
 def load_checkpoint(path):
-    """(params, saved config) from a checkpoint file. A file that is not a
-    JSON object, misses a key, has a non-integer n or bandwidth, a config
-    that is not an object, or frequencies other than the rows of
-    primitive_set(bandwidth, n/2) raises ValueError naming the file."""
+    """(params, saved config) from a checkpoint file. A field of the wrong
+    kind (README "Checkpoints" lists the kinds), parameters whose shapes
+    do not chain, or frequencies other than the rows of
+    primitive_set(bandwidth, n/2) raise ValueError naming the file."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: checkpoint is not a JSON object")
+    where = f"{path}: checkpoint"
+    values = dict(
+        n=fields.read(doc, "n", int, where),
+        bandwidth=fields.read(doc, "bandwidth", int, where),
+        skew=fields.read(doc, "skewParams", fields.Array(1), where),
+        rates=fields.read(doc, "lambda", fields.Array(1), where),
+        layers=[
+            tuple(fields.read(layer, key, fields.Array(ndim), f"{where} layers[{i}]")
+                  for key, ndim in (("weight", 2), ("bias", 1)))
+            for i, layer in enumerate(fields.read(doc, "layers", list, where))
+        ],
+        loss_kind=fields.read(doc, "lossKind", ("squared-error", "logistic"), where),
+        reflected=fields.read(doc, "reflected", bool, where),
+    )
     try:
-        n, bandwidth, frequencies = doc["n"], doc["bandwidth"], doc["frequencies"]
-        if type(n) is not int or type(bandwidth) is not int:
-            raise ValueError(f"{path}: checkpoint n and bandwidth must be integers")
-        params = GeneratorParams(
-            n=n,
-            bandwidth=bandwidth,
-            skew=np.asarray(doc["skewParams"]),
-            rates=np.asarray(doc["lambda"]),
-            layers=[(np.asarray(l["weight"]), np.asarray(l["bias"])) for l in doc["layers"]],
-            loss_kind=doc.get("lossKind", "squared-error"),
-            reflected=doc.get("reflected", False),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: checkpoint has no {exc}") from exc
-    if frequencies != params.freq.astype(int).tolist():
+        params = GeneratorParams(**values)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    if not np.array_equal(fields.read(doc, "frequencies", fields.Array(2), where), params.freq):
         raise ValueError(
-            f"{path}: frequencies are not the primitive set of bandwidth {bandwidth} "
+            f"{path}: frequencies are not the primitive set of bandwidth {params.bandwidth} "
             f"on {params.r} blocks"
         )
-    config = doc.get("config", {})
-    if not isinstance(config, dict):
-        raise ValueError(f"{path}: checkpoint config is not a JSON object")
-    return params, config
+    return params, fields.read(doc, "config", dict, where)

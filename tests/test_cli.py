@@ -50,9 +50,12 @@ class TestGenData:
         header = json.loads(out.read_text().split("\n", 1)[0])
         assert header["meta"]["outputKind"] == "binary"
 
-    def test_odd_dimension_rejected(self, tmp_path):
-        rc = run_cli("gen-data", "--task", "synth", "--n", "5", "--out", str(tmp_path / "x.jsonl"))
-        assert rc == 1
+    def test_odd_dimension_rejected(self, tmp_path, capsys):
+        out = str(tmp_path / "x.jsonl")
+        for n, rule in (("5", "even"), ("0", "at least 2"), ("-2", "at least 2")):
+            assert run_cli("gen-data", "--task", "synth", "--n", n, "--out", out) == 1
+            err = capsys.readouterr().err
+            assert f"error: ambient dimension must be {rule}, got {n} from --n" in err
 
     @pytest.mark.parametrize("task", ["synth", "pendulum6d"])
     def test_nonfinite_sigma_exits_one(self, tmp_path, capsys, task):
@@ -327,7 +330,7 @@ class TestTrainEval:
         bad.write_text('{"meta": [1]}\n')
         rc = run_cli("train", "--data", str(bad), "--out", str(tmp_path / "run"))
         assert rc == 1
-        assert f"error: {bad}: line 1: meta header is not a JSON object" in capsys.readouterr().err
+        assert f"error: {bad}: line 1: header meta is not a JSON object" in capsys.readouterr().err
 
     def test_nonfinite_learning_rate_exits_one_before_training(self, tmp_path, dataset_file,
                                                                capsys):
@@ -426,6 +429,7 @@ class TestSweepAndReport:
             (("--values", "0.1", "0.3", "0.1"), "bad --values '0.1 0.3 0.1': sweep values must "
                                                 "be distinct, got 0.1 twice"),
             (("--sigma", "nan"), "noise sigma must be finite and nonnegative, got nan"),
+            (("--n", "0"), "ambient dimension must be at least 2, got 0 from --n"),
         ],
     )
     def test_bad_sweep_flag_is_named(self, tmp_path, capsys, flags, found):

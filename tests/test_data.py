@@ -9,7 +9,7 @@ import sospec.data as data
 import sospec.pool as pool_mod
 from oracles import rational_nullspace, traced_peak
 from sospec.lattice import estimate_lambda, primitive_set, resonant_subset
-from sospec.lie import CanonicalForm, J2, matrix_exp, retract_orthogonal
+from sospec.lie import CanonicalForm, J2, assemble_generator, matrix_exp, retract_orthogonal
 
 
 class TestMakeRandomGenerator:
@@ -211,6 +211,29 @@ class TestTargetsAgainstPolarForm:
         data.double_pendulum_task(10, 0.0, seed=34)
         x = self._rows(35)
         self._assert_close(targets[0](x), _pendulum_polar(x))
+
+
+class TestAudit:
+    CF = data.make_random_generator(4, seed=36, kind="rational")
+
+    def test_passes_an_invariant_target_and_raises_on_another(self):
+        gen = assemble_generator(self.CF)
+        radius = lambda x: np.sum((x @ self.CF.q)[:, :2] ** 2, axis=1)  # noqa: E731
+        assert data._audit_invariance(radius, gen, 4, np.random.default_rng(37)) <= data.AUDIT_TOL
+        with pytest.raises(RuntimeError, match="generated target is not invariant"):
+            data._audit_invariance(lambda x: x[:, 0], gen, 4, np.random.default_rng(37))
+
+    def test_moves_each_row_by_its_own_flow_time(self):
+        gen = assemble_generator(self.CF)
+        seen = []
+        data._audit_invariance(lambda x: seen.append(x) or np.zeros(len(x)), gen, 4,
+                               np.random.default_rng(38))
+        rng = np.random.default_rng(38)
+        xs = rng.standard_normal((data.AUDIT_PAIRS, 4))
+        ts = rng.uniform(-np.pi, np.pi, size=data.AUDIT_PAIRS)
+        moved = [matrix_exp(gen, t) @ x for x, t in zip(xs, ts)]
+        np.testing.assert_allclose(seen[0], moved, rtol=0, atol=1e-13)
+        assert np.array_equal(seen[1], xs)
 
 
 class TestSerialization:

@@ -204,6 +204,6 @@ class TestSerialization:
     def test_generator_roundtrip(self):
         b = Generator(block_diag(J2, 2.0 * J2))
         blob = json.dumps(b.to_json_dict())
-        back = Generator.from_json_dict(json.loads(blob))
+        back = Generator.from_json_dict(json.loads(blob), "generator")
         assert np.array_equal(back.entries, b.entries)
         assert back.n == 4

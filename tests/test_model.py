@@ -447,7 +447,7 @@ class TestCheckpoint:
          "frequencies are not the primitive set of bandwidth 2 on 2 blocks"),
         (lambda doc: {**doc, "frequencies": doc["frequencies"][::-1]},
          "frequencies are not the primitive set of bandwidth 2 on 2 blocks"),
-        (lambda doc: {**doc, "bandwidth": [2]}, "checkpoint n and bandwidth must be integers"),
+        (lambda doc: {**doc, "bandwidth": [2]}, "checkpoint bandwidth is not a nonnegative integer"),
     ], ids=["wider", "reordered", "bandwidth-list"])
     def test_lattice_must_be_the_primitive_set(self, tmp_path, edit, found):
         path = tmp_path / "ckpt.json"
