@@ -15,6 +15,7 @@ import numpy as np
 
 from . import fields, model, study
 from .data import (
+    DATA_BANDWIDTH,
     double_pendulum_task,
     load_dataset,
     save_dataset,
@@ -76,14 +77,11 @@ def build_train_config(args):
 def _add_train_flags(sub):
     sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("--epochs", type=int)
-    sub.add_argument("--lr", type=float)
     sub.add_argument("--batch-size", dest="batch_size", type=int)
     sub.add_argument("--mu", dest="mu_init", type=float)
-    sub.add_argument("--mu-max-scale", dest="mu_max_scale", type=float)
     sub.add_argument("--warmup-epochs", dest="warmup_epochs", type=int)
     sub.add_argument("--bandwidth", type=int)
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--hidden", type=int)
     sub.add_argument("--restarts", type=int)
 
 
@@ -319,7 +317,7 @@ def build_parser():
         default="mixed",
         help="how to draw the true generator when --rates is not given",
     )
-    gen.add_argument("--gen-bandwidth", dest="gen_bandwidth", type=int, default=2)
+    gen.add_argument("--gen-bandwidth", dest="gen_bandwidth", type=int, default=DATA_BANDWIDTH)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen_data)
 

@@ -32,6 +32,10 @@ from .lie import matrix_exp  # noqa: F401 (perfbench/tracing.py wraps it here to
 AUDIT_PAIRS = 64
 AUDIT_TOL = 1e-9
 
+# Bandwidth of a synth target's characters, gen-data's default and every
+# sweep's: at 1, rates like (2, 1) have no resonance and the target is radial.
+DATA_BANDWIDTH = 2
+
 # Spring-coupling strengths of the 6-d pendulum analog.
 PENDULUM_COUPLING = 0.8
 PENDULUM_TRIPLE = 0.25
@@ -250,7 +254,7 @@ def check_noise_sigma(noise_sigma):
         raise ValueError(f"noise sigma must be finite and nonnegative, got {noise_sigma!r}")
 
 
-def synth_invariant_regression(cf, n_samples, noise_sigma, seed, bandwidth=2):
+def synth_invariant_regression(cf, n_samples, noise_sigma, seed, bandwidth=DATA_BANDWIDTH):
     """Regression task invariant under the subgroup of `cf`.
 
     The noiseless target is audited for invariance before noise is added,
@@ -283,7 +287,7 @@ def synth_invariant_regression(cf, n_samples, noise_sigma, seed, bandwidth=2):
     return Dataset(x, y, meta)
 
 
-def synth_invariant_classification(cf, n_samples, noise_sigma, seed, bandwidth=2):
+def synth_invariant_classification(cf, n_samples, noise_sigma, seed, bandwidth=DATA_BANDWIDTH):
     """Binary labels from the thresholded invariant regression target."""
     ds = synth_invariant_regression(cf, n_samples, noise_sigma, seed, bandwidth)
     labels = (ds.y > np.median(ds.y)).astype(np.float64)

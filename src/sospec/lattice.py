@@ -19,6 +19,10 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
+# Most integer vectors, (2*bandwidth+1)**r, that primitive_set enumerates:
+# about 0.1 s and at most about 38 000 frequencies, a 40 MB first layer.
+MAX_BOX = 100_000
+
 
 def _is_canonical(entries):
     g = 0
@@ -63,10 +67,16 @@ def primitive_set(bandwidth, r):
     """All canonical primitive frequencies with entries in [-bandwidth,
     bandwidth], one per row of a read-only float64 matrix.
 
-    Rows are lexicographically ordered; no two lie on the same ray.
+    Rows are lexicographically ordered; no two lie on the same ray. A box
+    of more than MAX_BOX vectors raises ValueError before it is enumerated.
     """
     if bandwidth < 1 or r < 1:
         raise ValueError("bandwidth and r must be at least 1")
+    if (2 * bandwidth + 1) ** r > MAX_BOX:
+        raise ValueError(
+            f"bandwidth {bandwidth} is too large for {r} blocks: its box holds "
+            f"more than {MAX_BOX} frequency vectors"
+        )
     box = itertools.product(range(-bandwidth, bandwidth + 1), repeat=r)
     freq = np.array([m for m in box if _is_canonical(m)], dtype=np.float64)
     freq.flags.writeable = False

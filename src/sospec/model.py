@@ -309,7 +309,7 @@ def _views(flat, arrays):
     return views
 
 
-def build_objective(tape, params, x, y, mu, loss_kind=None):
+def build_objective(tape, params, x, y, mu):
     """Prediction loss plus mu times the resonance penalty, as one tape entry.
 
     The entry's forward runs the stages in order. Its VJP calls their VJPs
@@ -319,7 +319,6 @@ def build_objective(tape, params, x, y, mu, loss_kind=None):
     where leaves maps each leaf name to its parameter Var; after
     tape.backward(objective) the leaves' grads are views of that flat array.
     """
-    loss_kind = loss_kind or params.loss_kind
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     mu = float(mu)
@@ -336,7 +335,7 @@ def build_objective(tape, params, x, y, mu, loss_kind=None):
         for i in range(last + 1):
             h, vjp = dense_stage(h, layers[2 * i], layers[2 * i + 1], i != last)
             dense_vjps.append(vjp)
-        pred_loss, loss_vjp = loss_stage(h, y, loss_kind)
+        pred_loss, loss_vjp = loss_stage(h, y, params.loss_kind)
         penalty, penalty_vjp = penalty_stage(layers[0], rates, freq)
         terms.extend((pred_loss, penalty))
 

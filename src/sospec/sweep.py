@@ -13,6 +13,7 @@ from .data import (
     synth_generator,
     synth_invariant_regression,
 )
+from .lattice import primitive_set
 from .pool import run_in_order, worker_count
 from .train import TrainConfig, train
 
@@ -49,6 +50,8 @@ class SweepSpec:
             raise ValueError(f"ambient dimension must be even, got {self.n}")
         if self.task == "synth" and self.rates is not None and len(self.rates) != self.n // 2:
             raise ValueError(f"need {self.n // 2} rates for n={self.n}, got {self.rates}")
+        # raises ValueError on a bandwidth too large to enumerate, before any cell runs
+        primitive_set(self.base.bandwidth, 3 if self.task == "pendulum6d" else self.n // 2)
 
 
 def check_values(values):
@@ -70,7 +73,7 @@ def _make_dataset(spec, value, seed):
     if spec.task == "pendulum6d":
         return double_pendulum_task(n_samples, sigma, seed)
     cf = synth_generator(spec.n, seed, spec.rates, "rational")
-    return synth_invariant_regression(cf, n_samples, sigma, seed, spec.base.bandwidth)
+    return synth_invariant_regression(cf, n_samples, sigma, seed)
 
 
 def run_one(spec, value_index, repeat):

@@ -1,11 +1,11 @@
 """Training loop: Adam on the joint objective with a resonance warm-up.
 
 The penalty weight mu is held at mu_init for warmup_epochs, then ramped
-linearly to mu_init * mu_max_scale at the last epoch. Rates
-are renormalized to the unit sphere after every optimizer step, which rules
-out the trivial zero-rate penalty minimizer; their scale is not
-identifiable anyway. The checkpoint with the best validation prediction
-loss wins (earliest epoch on ties).
+linearly to twice mu_init at the last epoch. Rates are renormalized to
+the unit sphere after every optimizer step, which rules out the trivial
+zero-rate penalty minimizer; their scale is not identifiable anyway. The
+checkpoint with the best validation prediction loss wins (earliest epoch
+on ties).
 """
 
 import math
@@ -16,9 +16,10 @@ import numpy as np
 
 from . import kernels, metrics, model, pool
 from .autodiff import Tape
-from .lattice import estimate_lambda, surviving_frequencies
+from .lattice import estimate_lambda, primitive_set, surviving_frequencies
 from .lie import CanonicalForm, assemble_generator, generator_cosine_similarity
 
+LR = 2e-3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -50,33 +51,21 @@ PARALLEL_MIN_STEPS = 1000
 @dataclass
 class TrainConfig:
     epochs: int = 40
-    lr: float = 2e-3
     batch_size: int = 128
     mu_init: float = 0.1
-    mu_max_scale: float = 2.0
     warmup_epochs: int = 10
     bandwidth: int = 2
     seed: int = 0
-    hidden: int = 64
     restarts: int = 2
 
     def __post_init__(self):
-        for name in (
-            "epochs",
-            "lr",
-            "batch_size",
-            "mu_max_scale",
-            "warmup_epochs",
-            "bandwidth",
-            "hidden",
-        ):
+        for name in ("epochs", "batch_size", "warmup_epochs", "bandwidth"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.mu_init < 0:  # zero switches the penalty off (plain regression)
             raise ValueError("mu_init must be nonnegative")
-        for name in ("lr", "mu_init", "mu_max_scale"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not math.isfinite(self.mu_init):
+            raise ValueError(f"mu_init must be finite, got {self.mu_init!r}")
         if self.warmup_epochs > self.epochs:
             raise ValueError("warmup_epochs must not exceed epochs")
         if self.restarts < 1:
@@ -144,7 +133,7 @@ class RunReport:
 
 def mu_schedule(epoch, cfg):
     """Penalty weight for an epoch: flat warm-up, then a linear ramp to
-    mu_init * mu_max_scale at the final epoch."""
+    twice mu_init at the final epoch."""
     if not 0 <= epoch < cfg.epochs:
         raise ValueError(f"epoch {epoch} outside 0..{cfg.epochs - 1}")
     if epoch < cfg.warmup_epochs:
@@ -154,16 +143,15 @@ def mu_schedule(epoch, cfg):
         frac = 1.0
     else:
         frac = (epoch - cfg.warmup_epochs) / (last - cfg.warmup_epochs)
-    return cfg.mu_init * (1.0 + frac * (cfg.mu_max_scale - 1.0))
+    return cfg.mu_init * (1.0 + frac)
 
 
 class Adam:
-    """Adam with bias correction over one flat parameter vector, updated in
-    place by a single fused kernel call per step."""
+    """Adam at rate LR with bias correction over one flat parameter vector,
+    updated in place by a single fused kernel call per step."""
 
-    def __init__(self, flat, lr):
+    def __init__(self, flat):
         self.flat = flat
-        self.lr = lr
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
         self.t = 0
@@ -175,7 +163,7 @@ class Adam:
             grad,
             self.m,
             self.v,
-            self.lr,
+            LR,
             ADAM_BETA1,
             ADAM_BETA2,
             ADAM_EPS,
@@ -243,8 +231,8 @@ def discover(params):
     )
 
 
-def _forward_loss(params, x, y, loss_kind):
-    return float(model.loss_stage(model.predict(params, x), y, loss_kind)[0])
+def _forward_loss(params, x, y):
+    return float(model.loss_stage(model.predict(params, x), y, params.loss_kind)[0])
 
 
 def evaluate_params(params, ds, cfg, report):
@@ -285,7 +273,7 @@ class _RestartFailure(Exception):
 
 
 def _rate_candidate(r, restart):
-    """Rate direction a restart commits to during warm-up.
+    """Rate direction a restart starts from.
 
     For two planes the primitive rays at bandwidth 1 can be enumerated, so
     restart pairs cycle through their null directions exactly; larger r
@@ -297,17 +285,15 @@ def _rate_candidate(r, restart):
     return None
 
 
-def _train_single(dataset, cfg, loss_kind, restart):
+def _train_single(dataset, cfg, restart):
     """One full optimization from a fresh init.
 
     Even restart indices use the plain exp(A) alignment, odd ones its
     reflected-parity twin (proper rotations cannot exchange a frequency ray
     with its conjugate, so the two parities explore both orientation
-    classes). The rate vector is held at its starting direction during
-    warm-up so feature selection and alignment commit to that resonance
-    hypothesis first; it is released once the penalty ramp begins, and
-    validation selection arbitrates between restarts. Raises
-    _RestartFailure on a non-finite objective.
+    classes). Each restart starts its rates at `_rate_candidate`'s
+    direction, and validation selection arbitrates between restarts.
+    Raises _RestartFailure on a non-finite objective.
     """
     rng_init = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SALT_INIT, restart]))
     rng_batch = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SALT_BATCH, restart]))
@@ -315,16 +301,15 @@ def _train_single(dataset, cfg, loss_kind, restart):
         n=dataset.meta.n,
         bandwidth=cfg.bandwidth,
         out_dim=dataset.meta.out_dim,
-        hidden=cfg.hidden,
         seed=rng_init,
-        loss_kind=loss_kind,
+        loss_kind=resolve_loss(dataset.meta),
         reflected=bool(restart % 2),
         rates_init=_rate_candidate(dataset.meta.n // 2, restart),
     )
     train_idx, val_idx, _ = split_indices(len(dataset), cfg.seed)
     x_val, y_val = dataset.x[val_idx], dataset.y[val_idx]
 
-    adam = Adam(model.pack(params), cfg.lr)
+    adam = Adam(model.pack(params))
 
     curves = {"loss": [], "penalty": [], "val": [], "mu": []}
     best_val = math.inf
@@ -340,7 +325,7 @@ def _train_single(dataset, cfg, loss_kind, restart):
             idx = order[lo : lo + cfg.batch_size]
             tape = Tape()
             objective, pred_loss, penalty, leaves = model.build_objective(
-                tape, params, dataset.x[idx], dataset.y[idx], mu, loss_kind
+                tape, params, dataset.x[idx], dataset.y[idx], mu
             )
             if not np.isfinite(objective.value):
                 raise _RestartFailure(
@@ -348,8 +333,6 @@ def _train_single(dataset, cfg, loss_kind, restart):
                     f"(loss={float(pred_loss.value)!r})"
                 )
             tape.backward(objective)
-            if epoch < cfg.warmup_epochs:
-                leaves["rates"].grad[...] = 0.0
             # Every leaf's gradient is a view of the one flat, pack-order array.
             adam.step(leaves["skew"].grad.base)
             params.rates /= math.sqrt(params.rates @ params.rates)
@@ -359,7 +342,7 @@ def _train_single(dataset, cfg, loss_kind, restart):
             # the next step's forward or the validation pass runs.
             del tape, objective, pred_loss, penalty, leaves
 
-        val_loss = _forward_loss(params, x_val, y_val, loss_kind)
+        val_loss = _forward_loss(params, x_val, y_val)
         curves["loss"].append(float(np.mean(epoch_losses)))
         curves["penalty"].append(float(np.mean(epoch_penalties)))
         curves["val"].append(val_loss)
@@ -383,17 +366,17 @@ def _restart_workers(dataset, cfg):
     return 1 if steps < PARALLEL_MIN_STEPS else pool.worker_count(cfg.restarts)
 
 
-def _train_restart(dataset, cfg, loss_kind, restart):
+def _train_restart(dataset, cfg, restart):
     """`_train_single`'s result tuple, or the _RestartFailure it raised."""
     try:
-        return _train_single(dataset, cfg, loss_kind, restart)
+        return _train_single(dataset, cfg, restart)
     except _RestartFailure as failure:
         return failure
 
 
-def _run_restarts(dataset, cfg, loss_kind, workers):
+def _run_restarts(dataset, cfg, workers):
     """Every restart's result tuple or _RestartFailure, in restart order."""
-    tasks = [(cfg, loss_kind, r) for r in range(cfg.restarts)]
+    tasks = [(cfg, r) for r in range(cfg.restarts)]
     return list(pool.run_in_order(_train_restart, dataset, tasks, workers))
 
 
@@ -417,8 +400,10 @@ def train(dataset, cfg):
     A restart whose objective goes non-finite is recorded in
     restartFailures and left out of the choice; if every restart fails the
     result is (None, report) with failure_reason set. A dataset too small
-    to give every split a row raises ValueError before any restart starts.
+    to give every split a row, or a bandwidth whose primitive_set is too
+    large to build, raises ValueError before any restart starts.
     """
+    primitive_set(cfg.bandwidth, dataset.meta.n // 2)
     if not all(part.size for part in split_indices(len(dataset), cfg.seed)):
         raise ValueError(
             f"a dataset of {len(dataset)} rows leaves its train, validation or test "
@@ -426,14 +411,13 @@ def train(dataset, cfg):
         )
     start = time.perf_counter()
     workers = _restart_workers(dataset, cfg)
-    loss_kind = resolve_loss(dataset.meta)
     report = RunReport(
         task=dataset.meta.task,
         seed=cfg.seed,
-        config={**cfg.echo(), "resolvedLoss": loss_kind},
+        config={**cfg.echo(), "resolvedLoss": resolve_loss(dataset.meta)},
     )
 
-    outcomes = _run_restarts(dataset, cfg, loss_kind, workers)
+    outcomes = _run_restarts(dataset, cfg, workers)
     failures = [str(o) if isinstance(o, _RestartFailure) else None for o in outcomes]
     report.restart_failures = failures
     report.restart_val_losses = [None if f else o[1] for o, f in zip(outcomes, failures)]

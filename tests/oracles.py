@@ -168,7 +168,7 @@ def gradcheck(build, init_params, floor=1e-3, step_scale=1e-6):
     return max_rel_error(ad, fd, floor)
 
 
-def staged_objective(tape, params, x, y, mu, loss_kind=None):
+def staged_objective(tape, params, x, y, mu):
     """The objective as one tape entry per model stage: align, features,
     each dense layer, loss, penalty and their weighted sum (nine entries for
     four layers). It is the reference that model.build_objective's single
@@ -176,7 +176,6 @@ def staged_objective(tape, params, x, y, mu, loss_kind=None):
     (objective, prediction loss, penalty, leaves) tuple."""
     import sospec.model as model
 
-    loss_kind = loss_kind or params.loss_kind
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     freq = params.freq
@@ -186,7 +185,7 @@ def staged_objective(tape, params, x, y, mu, loss_kind=None):
     last = len(params.layers) - 1
     for i in range(len(params.layers)):
         h = tape.record(model.dense_stage, (h, leaves[f"w{i}"], leaves[f"b{i}"]), i != last)
-    pred_loss = tape.record(model.loss_stage, (h,), y, loss_kind)
+    pred_loss = tape.record(model.loss_stage, (h,), y, params.loss_kind)
     penalty = tape.record(model.penalty_stage, (leaves["w0"], leaves["rates"]), freq)
 
     def weighted_sum(loss_value, penalty_value, weight):

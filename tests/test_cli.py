@@ -115,13 +115,13 @@ class TestTrainEval:
 
     def test_config_file_and_flag_override(self, tmp_path, dataset_file):
         cfg = tmp_path / "train.cfg"
-        cfg.write_text("epochs = 4\nwarmup_epochs = 2\nbandwidth = 1\nseed = 11\nlr = 1e-3\n")
+        cfg.write_text("epochs = 4\nwarmup_epochs = 2\nbandwidth = 1\nseed = 11\nmu_init = 0.3\n")
         rc = run_cli("train", "--data", str(dataset_file), "--config", str(cfg),
                      "--seed", "12", "--out", str(tmp_path / "run"))
         assert rc == 0
         doc = json.loads((tmp_path / "run" / "report.json").read_text())
         assert doc["config"]["seed"] == 12  # flag wins
-        assert doc["config"]["lr"] == 1e-3  # file value survives
+        assert doc["config"]["mu_init"] == 0.3  # file value survives
         assert doc["config"]["epochs"] == 4
 
     def test_checkpoint_with_removed_config_keys_still_evaluates(self, tmp_path, dataset_file):
@@ -133,7 +133,8 @@ class TestTrainEval:
         doc = json.loads(path.read_text())
         # the settable values older checkpoints carry, at their defaults
         doc["config"].update(loss="auto", mu_ramp="linear", rel_threshold=0.1,
-                             inv_x_samples=256, inv_t_samples=16, t_max=np.pi)
+                             inv_x_samples=256, inv_t_samples=16, t_max=np.pi,
+                             lr=2e-3, hidden=64, mu_max_scale=2.0)
         old = tmp_path / "old.json"
         old.write_text(json.dumps(doc))
         rc = run_cli("eval", "--checkpoint", str(old), "--data", str(dataset_file),
@@ -150,7 +151,7 @@ class TestTrainEval:
     @pytest.mark.parametrize(
         "line",
         ["loss = logistic", "mu_ramp = constant", "rel_threshold = 0.2", "inv_x_samples = 64",
-         "inv_t_samples = 4", "t_max = 1.0"],
+         "inv_t_samples = 4", "t_max = 1.0", "lr = 1e-3", "hidden = 8", "mu_max_scale = 1.0"],
     )
     def test_removed_config_key_rejected(self, tmp_path, dataset_file, capsys, line):
         cfg = tmp_path / "old.cfg"
@@ -332,13 +333,30 @@ class TestTrainEval:
         assert rc == 1
         assert f"error: {bad}: line 1: header meta is not a JSON object" in capsys.readouterr().err
 
-    def test_nonfinite_learning_rate_exits_one_before_training(self, tmp_path, dataset_file,
-                                                               capsys):
-        rc = run_cli("train", "--data", str(dataset_file), "--lr", "nan",
+    def test_nonfinite_mu_exits_one_before_training(self, tmp_path, dataset_file, capsys):
+        rc = run_cli("train", "--data", str(dataset_file), "--mu", "nan",
                      "--out", str(tmp_path / "run"))
         assert rc == 1
-        assert "invalid configuration: lr must be finite, got nan" in capsys.readouterr().err
+        assert "invalid configuration: mu_init must be finite, got nan" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_bandwidth_too_large_exits_one_before_training(self, tmp_path, dataset_file, capsys):
+        rc = run_cli("train", "--data", str(dataset_file), "--bandwidth", "1000000",
+                     "--out", str(tmp_path / "run"))
+        assert rc == 1
+        assert "error: bandwidth 1000000 is too large for 2 blocks" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_checkpoint_of_too_large_a_bandwidth_exits_one(self, tmp_path, dataset_file, capsys):
+        bad = tmp_path / "bad.json"
+        model.save_checkpoint(model.init_params(4, 1, seed=0), bad, config={"seed": 0})
+        bad.write_text(json.dumps({**json.loads(bad.read_text()), "bandwidth": 1000000}))
+        rc = run_cli("eval", "--checkpoint", str(bad), "--data", str(dataset_file),
+                     "--out", str(tmp_path / "eval.json"))
+        assert rc == 1
+        assert (f"error: {bad}: checkpoint: bandwidth 1000000 is too large for 2 blocks"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "eval.json").exists()
 
     def test_bad_flag_exits_one(self, tmp_path):
         rc = run_cli("train", "--data", "x", "--out", "y", "--no-such-flag")
@@ -382,7 +400,9 @@ class TestSweepAndReport:
 
     def test_sweep_rates_build_the_gen_data_task(self, tmp_path, monkeypatch):
         # The rates are normalised once, where the task is built: `--rates 1,-1`
-        # gives the default task, and the one gen-data writes at the same seed.
+        # gives the default task, and each gives the one gen-data writes at the
+        # same seed. The data bandwidth is gen-data's default whatever the
+        # training bandwidth: at 1, rates (2,1) would have no resonant term.
         specs = []
 
         def capture(spec, progress):
@@ -390,19 +410,20 @@ class TestSweepAndReport:
             return [], {"points": []}
 
         monkeypatch.setattr(cli, "run_sweep", capture)
-        for flags in ((), ("--rates", "1,-1")):
+        for flags in ((), ("--rates", "1,-1"), ("--rates", "2,1")):
             assert run_cli("sweep", "--axis", "noise", "--values", "0.2", "--repeats", "1",
-                           "--n-samples", "300", "--bandwidth", "2", *flags,
+                           "--n-samples", "300", "--bandwidth", "1", *flags,
                            "--out", str(tmp_path / "sweep")) == 0
-        default, given = (sweep._make_dataset(spec, 0.2, 11) for spec in specs)
-        path = tmp_path / "ds.jsonl"
-        assert run_cli("gen-data", "--task", "synth", "--n", "4", "--n-samples", "300",
-                       "--sigma", "0.2", "--seed", "11", "--rates", "1,-1",
-                       "--gen-bandwidth", "2", "--out", str(path)) == 0
-        for ds in (given, load_dataset(path)):
-            assert ds.meta.true_rates.tobytes() == default.meta.true_rates.tobytes()
-            assert ds.x.tobytes() == default.x.tobytes()
-            assert ds.y.tobytes() == default.y.tobytes()
+        datasets = [sweep._make_dataset(spec, 0.2, 11) for spec in specs]
+        for rates, ds in zip(("1,-1", "1,-1", "2,1"), datasets):
+            path = tmp_path / "ds.jsonl"
+            assert run_cli("gen-data", "--task", "synth", "--n", "4", "--n-samples", "300",
+                           "--sigma", "0.2", "--seed", "11", "--rates", rates,
+                           "--out", str(path)) == 0
+            written = load_dataset(path)
+            assert ds.meta.true_rates.tobytes() == written.meta.true_rates.tobytes()
+            assert ds.x.tobytes() == written.x.tobytes()
+            assert ds.y.tobytes() == written.y.tobytes()
 
     @pytest.mark.parametrize("command", ["gen-data", "sweep"])
     @pytest.mark.parametrize("rates", ["0,0", "nan,1", "inf,1", "1e308,1e308"])
@@ -430,6 +451,9 @@ class TestSweepAndReport:
                                                 "be distinct, got 0.1 twice"),
             (("--sigma", "nan"), "noise sigma must be finite and nonnegative, got nan"),
             (("--n", "0"), "ambient dimension must be at least 2, got 0 from --n"),
+            (("--bandwidth", "1000000"), "bandwidth 1000000 is too large for 2 blocks"),
+            (("--task", "pendulum6d", "--bandwidth", "100"),
+             "bandwidth 100 is too large for 3 blocks"),
         ],
     )
     def test_bad_sweep_flag_is_named(self, tmp_path, capsys, flags, found):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import enumerate_primitives_bruteforce, rational_nullspace, rational_rank
+from sospec import lattice
 from sospec.lattice import (
     TorusPoint,
     character,
@@ -48,6 +49,15 @@ class TestPrimitiveSet:
             for b in members[i + 1 :]:
                 # cross product zero would mean collinear
                 assert a[0] * b[1] - a[1] * b[0] != 0
+
+    def test_box_above_max_rejected_before_enumerating(self, monkeypatch):
+        for bandwidth, r in ((157, 2), (2, 7), (1, 10)):  # the largest boxes admitted
+            assert len(primitive_set(bandwidth, r)) > 0
+        monkeypatch.setattr(lattice.itertools, "product", None)  # enumerating would raise
+        for bandwidth, r in ((158, 2), (2, 8), (10**6, 2), (2**62, 3)):
+            with pytest.raises(ValueError, match=f"^bandwidth {bandwidth} is too large for "
+                                                 f"{r} blocks"):
+                primitive_set(bandwidth, r)
 
     def test_cached_read_only_float_matrix(self):
         freq = primitive_set(2, 3)
