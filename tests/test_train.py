@@ -297,7 +297,8 @@ class TestFlatParameters:
             assert np.array_equal(a, before[name])
         assert np.array_equal(params.layers[2][0], before["w2"] + 1.0)
 
-    def test_every_leaf_gradient_reaches_adam(self, monkeypatch):
+    @pytest.mark.parametrize("epoch", [0, 1], ids=["warmup", "ramp"])
+    def test_every_leaf_gradient_reaches_adam(self, epoch, monkeypatch):
         # One batch per epoch; epoch 0 is warm-up, epoch 1 is not. With mu > 0
         # the rates move from the first step on, like every other leaf.
         cf = CanonicalForm(np.eye(4), np.array([1.0, -1.0]) / np.sqrt(2.0))
@@ -320,14 +321,14 @@ class TestFlatParameters:
         monkeypatch.setattr(train_mod.Adam, "step", spy_step)
         train_mod._train_single(ds, cfg, 0)
         assert len(steps) == 2
-        for leaves, grad in steps:
-            offset = 0
-            for name, leaf in leaves.items():
-                part = grad[offset : offset + leaf.value.size]
-                offset += leaf.value.size
-                assert np.any(part != 0.0), name
-                assert np.array_equal(part, leaf.grad.ravel()), name
-            assert offset == grad.size
+        leaves, grad = steps[epoch]
+        offset = 0
+        for name, leaf in leaves.items():
+            part = grad[offset : offset + leaf.value.size]
+            offset += leaf.value.size
+            assert np.any(part != 0.0), name
+            assert np.array_equal(part, leaf.grad.ravel()), name
+        assert offset == grad.size
 
 
 class TestStepLifetime:
