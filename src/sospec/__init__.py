@@ -9,8 +9,6 @@ generator of the latent subgroup.
 """
 
 from .lattice import (
-    TorusPoint,
-    character,
     estimate_lambda,
     primitive_set,
     resonant_subset,
@@ -31,9 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CanonicalForm",
     "Generator",
-    "TorusPoint",
     "assemble_generator",
-    "character",
     "estimate_lambda",
     "gauge_equivalent",
     "generator_cosine_similarity",

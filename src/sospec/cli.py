@@ -24,7 +24,7 @@ from .data import (
     synth_invariant_regression,
 )
 from .sweep import SweepSpec, check_values, run_sweep, write_sweep_outputs
-from .train import RunReport, TrainConfig, evaluate_params, train
+from .train import RunReport, TrainConfig, evaluate_params, resolve_loss, train
 
 TASKS = ("pendulum6d", "synth", "synth-cls")
 
@@ -123,7 +123,21 @@ def _ambient_dimension(n):
     return 4 if n is None else n
 
 
+def _reject_synth_flags(args):
+    """pendulum6d has fixed rates in 6 dimensions, so --n other than 6 or a
+    synth-only flag given with it is an error rather than ignored."""
+    if args.task != "pendulum6d":
+        return
+    if args.n not in (None, 6):
+        raise CliError(f"pendulum6d is a 6-dimensional task, got --n {args.n}")
+    for dest in ("rates", "generator", "gen_bandwidth"):
+        if getattr(args, dest, None) is not None:
+            flag = "--" + dest.replace("_", "-")
+            raise CliError(f"{flag} applies to synth tasks only, not to pendulum6d")
+
+
 def cmd_gen_data(args):
+    _reject_synth_flags(args)
     # A synth target is scaled by its standard deviation over the sample,
     # which one sample leaves at zero.
     least = 1 if args.task == "pendulum6d" else 2
@@ -132,17 +146,16 @@ def cmd_gen_data(args):
             f"--n-samples must be at least {least} for task {args.task}, got {args.n_samples}"
         )
     if args.task == "pendulum6d":
-        if args.n not in (None, 6):
-            raise CliError("pendulum6d is a 6-dimensional task")
         ds = double_pendulum_task(args.n_samples, args.sigma, args.seed)
     else:
         n = _ambient_dimension(args.n)
         rates = None if args.rates is None else _parse_rates(args.rates)
-        cf = synth_generator(n, args.seed, rates, args.generator)
+        cf = synth_generator(n, args.seed, rates, args.generator or "mixed")
         maker = (
             synth_invariant_classification if args.task == "synth-cls" else synth_invariant_regression
         )
-        ds = maker(cf, args.n_samples, args.sigma, args.seed, bandwidth=args.gen_bandwidth)
+        bandwidth = DATA_BANDWIDTH if args.gen_bandwidth is None else args.gen_bandwidth
+        ds = maker(cf, args.n_samples, args.sigma, args.seed, bandwidth=bandwidth)
     save_dataset(ds, args.out)
     print(f"gen-data: wrote {len(ds)} samples of task {ds.meta.task} (n={ds.meta.n}) to {args.out}")
     return 0
@@ -180,6 +193,11 @@ def cmd_eval(args):
             f"dataset {args.data} has n={ds.meta.n} and out_dim={ds.meta.out_dim}, "
             f"checkpoint {args.checkpoint} has n={params.n} and out_dim={params.out_dim}"
         )
+    if params.loss_kind != resolve_loss(ds.meta):
+        raise CliError(
+            f"dataset {args.data} needs the {resolve_loss(ds.meta)} loss, "
+            f"checkpoint {args.checkpoint} was trained with the {params.loss_kind} loss"
+        )
     report = RunReport(task=ds.meta.task, seed=cfg.seed, config=saved_cfg)
     evaluate_params(params, ds, cfg, report)
     _write_json(args.out, report.to_json_dict())
@@ -200,6 +218,7 @@ def _parse_values(raw, axis):
 
 
 def cmd_sweep(args):
+    _reject_synth_flags(args)
     base = build_train_config(args)
     spec = SweepSpec(
         axis=args.axis,
@@ -314,10 +333,9 @@ def build_parser():
     gen.add_argument(
         "--generator",
         choices=("mixed", "rational", "generic", "diagonal"),
-        default="mixed",
-        help="how to draw the true generator when --rates is not given",
+        help="how to draw the true generator when --rates is not given (default mixed)",
     )
-    gen.add_argument("--gen-bandwidth", dest="gen_bandwidth", type=int, default=DATA_BANDWIDTH)
+    gen.add_argument("--gen-bandwidth", dest="gen_bandwidth", type=int)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen_data)
 

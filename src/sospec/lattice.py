@@ -13,11 +13,8 @@ cover.
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-TWO_PI = 2.0 * math.pi
 
 # Most integer vectors, (2*bandwidth+1)**r, that primitive_set enumerates:
 # about 0.1 s and at most about 38 000 frequencies, a 40 MB first layer.
@@ -32,34 +29,6 @@ def _is_canonical(entries):
             first = e
         g = math.gcd(g, abs(e))
     return g == 1 and first > 0
-
-
-@dataclass(frozen=True)
-class TorusPoint:
-    """Polar form of the r aligned blocks: radii and angles in [0, 2*pi)."""
-
-    radii: np.ndarray
-    angles: np.ndarray
-
-    def __post_init__(self):
-        radii = np.asarray(self.radii, dtype=np.float64)
-        angles = np.asarray(self.angles, dtype=np.float64)
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "angles", angles)
-        if radii.shape != angles.shape or radii.ndim != 1:
-            raise ValueError("radii and angles must be matching 1-d arrays")
-        if not (np.all(np.isfinite(radii)) and np.all(np.isfinite(angles))):
-            raise ValueError("torus point must be finite")
-        if np.any(radii < 0.0):
-            raise ValueError("radii must be nonnegative")
-        if np.any((angles < 0.0) | (angles >= TWO_PI)):
-            raise ValueError("angles must lie in [0, 2*pi)")
-        if np.any((radii == 0.0) & (angles != 0.0)):
-            raise ValueError("zero-radius blocks must carry angle 0")
-
-    @property
-    def r(self):
-        return self.radii.shape[0]
 
 
 @functools.cache
@@ -83,14 +52,27 @@ def primitive_set(bandwidth, r):
     return freq
 
 
-def character(freq, point):
-    """Unit-modulus character value exp(i * <freq, angles>)."""
-    freq = np.asarray(freq, dtype=np.float64)
-    angles = point.angles if isinstance(point, TorusPoint) else np.asarray(point)
-    if freq.shape != angles.shape:
-        raise ValueError("frequency and torus point have different block counts")
-    phase = float(np.dot(freq, angles))
-    return complex(math.cos(phase), math.sin(phase))
+@functools.cache
+def reflect_last_block(bandwidth, r):
+    """What negating the last entry does to the rows of
+    primitive_set(bandwidth, r): a read-only pair (rows, signs) with
+    (m_1, ..., m_{r-1}, -m_r) = signs[j] * freq[rows[j]] for row j = m.
+
+    The sign is -1 only for the row whose reflection is not canonical
+    (only m_r nonzero); that row maps to itself, and its character to the
+    conjugate. The signed permutation is an involution.
+    """
+    freq = primitive_set(bandwidth, r).astype(int).tolist()
+    index = {tuple(m): j for j, m in enumerate(freq)}
+    rows, signs = [], []
+    for m in freq:
+        flipped = (*m[:-1], -m[-1])
+        sign = 1 if _is_canonical(flipped) else -1
+        rows.append(index[tuple(sign * e for e in flipped)])
+        signs.append(float(sign))
+    rows, signs = np.array(rows, dtype=np.intp), np.array(signs)
+    rows.flags.writeable = signs.flags.writeable = False
+    return rows, signs
 
 
 def resonant_subset(rates, candidates, tol):

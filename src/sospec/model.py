@@ -1,11 +1,13 @@
 """The predictor: learned alignment, torus Fourier features, MLP head.
 
-Inputs are rotated into a learned frame (the alignment is the exponential
-of free skew parameters, so it stays in SO(n) by construction), split into
-2-d blocks, and converted to radii and unit block coordinates, points on
-the torus. The network consumes the radii and the cosine/sine pairs of the
-torus characters of primitive frequencies, each character a product of
-powers of the unit block coordinates. The frequencies are the rows of
+Inputs are rotated into one learned frame (the alignment is the
+exponential of free skew parameters, so it stays in SO(n) by
+construction; from_reflected_frame maps a start of the other orientation
+class into it), split into 2-d blocks, and converted to radii and unit
+block coordinates, points on the torus. The network consumes the radii
+and the cosine/sine pairs of the torus characters of primitive
+frequencies, each character a product of powers of the unit block
+coordinates. The frequencies are the rows of
 lattice.primitive_set(bandwidth, n/2), a cached matrix that every stage
 reads and none stores. Rotation rates enter only through the resonance
 penalty, which suppresses first-layer mass on features whose frequency
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import fields, kernels, lie
 from .autodiff import Var
-from .lattice import primitive_set
+from .lattice import primitive_set, reflect_last_block
 
 
 @dataclass
@@ -46,12 +48,6 @@ class GeneratorParams:
     rates: np.ndarray
     layers: list
     loss_kind: str = "squared-error"
-    # Alignment parity: when True the frame is exp(A) times a reflection of
-    # the last coordinate. Proper rotations cannot exchange a character ray
-    # with its conjugate, so the two parities explore the two orientation
-    # classes; the canonical det=+1 form is recovered by flipping the sign
-    # of the last rotation rate.
-    reflected: bool = False
 
     def __post_init__(self):
         if self.n % 2 != 0:
@@ -103,21 +99,12 @@ class GeneratorParams:
             rates=self.rates.copy(),
             layers=[(w.copy(), b.copy()) for w, b in self.layers],
             loss_kind=self.loss_kind,
-            reflected=self.reflected,
         )
 
     def canonical_form(self):
-        """The learned generator's canonical form with det(Q) = +1.
-
-        For a reflected frame exp(A)*D the same generator is produced by
-        (exp(A), rates with the last sign flipped), since D conjugates the
-        last plane.
-        """
+        """The learned generator's canonical form (exp(A), rates)."""
         q = lie.matrix_exp(lie.skew_from_params(self.skew, self.n), 1.0)
-        rates = self.rates.copy()
-        if self.reflected:
-            rates[-1] = -rates[-1]
-        return lie.CanonicalForm(q, rates)
+        return lie.CanonicalForm(q, self.rates.copy())
 
 
 def init_params(
@@ -133,7 +120,8 @@ def init_params(
 ):
     """Fresh parameters: small-skew alignment near identity, unit random
     rates (or an explicit `rates_init` direction), fan-in-scaled MLP
-    weights.
+    weights. With `reflected`, the same draws are read in the reflected
+    frame and returned as from_reflected_frame's proper-frame equivalent.
 
     The first layer starts `first_layer_scale` times smaller than its fan-in
     scale. Feature coefficients then begin near zero, so the resonance
@@ -159,15 +147,37 @@ def init_params(
         if i == 0:
             w *= first_layer_scale
         layers.append((w, np.zeros(widths[i + 1])))
-    return GeneratorParams(
+    params = GeneratorParams(
         n=n,
         bandwidth=bandwidth,
         skew=skew,
         rates=rates,
         layers=layers,
         loss_kind=loss_kind,
-        reflected=reflected,
     )
+    return from_reflected_frame(params) if reflected else params
+
+
+def from_reflected_frame(params):
+    """Proper-frame params that compute what `params` computes in the
+    reflected frame exp(A)*D, where D negates the last coordinate.
+
+    D conjugates the last block, so the character of m there is the
+    character of (m_1, ..., m_{r-1}, -m_r) in exp(A): the first layer's
+    cos and sin rows move by lattice.reflect_last_block, whose sign, -1
+    only where the reflection is a conjugate, multiplies the sin row. The
+    last rate changes sign, which keeps every |<m, rates>| of the penalty.
+    Predictions, objective and generator are unchanged, and the map is its
+    own inverse.
+    """
+    rows, signs = reflect_last_block(params.bandwidth, params.r)
+    f = rows.size
+    out = params.copy()
+    w0 = params.layers[0][0]
+    out.layers[0][0][:f] = w0[rows]
+    out.layers[0][0][f : 2 * f] = signs[:, None] * w0[f + rows]
+    out.rates[-1] = -out.rates[-1]
+    return out
 
 
 # -- pipeline stages ------------------------------------------------------------
@@ -179,9 +189,9 @@ def init_params(
 # ulp, which changes training trajectories and so the recovered generators.
 
 
-def align_stage(skew, x, reflected):
-    """Rows of x in the learned frame: x @ exp(A), with the last coordinate
-    negated for a reflected frame. Input: the skew parameters of A.
+def align_stage(skew, x):
+    """Rows of x in the learned frame: x @ exp(A). Input: the skew
+    parameters of A.
 
     The exponential is lie.exp_skew, so the value matches lie.matrix_exp
     bit for bit. The VJP is the Daleckii-Krein adjoint of exp at A: with
@@ -194,13 +204,8 @@ def align_stage(skew, x, reflected):
     rows, cols = lie.skew_indices(n)
     q, w, v = lie.exp_skew(lie.skew_from_params(skew, n))
     z = x @ q
-    if reflected:
-        z[:, -1] = -z[:, -1]
 
     def vjp(g):
-        if reflected:
-            g = g.copy()
-            g[:, -1] = -g[:, -1]
         half = 0.5 * w
         f = np.exp(1j * (half[:, None] + half)) * np.sinc((w[:, None] - w) / (2.0 * np.pi))
         vh = v.conj().T
@@ -328,7 +333,7 @@ def build_objective(tape, params, x, y, mu):
 
     def objective_entry(*arrays):
         skew, rates, layers = arrays[0], arrays[1], arrays[2:]
-        h, align_vjp = align_stage(skew, x, params.reflected)
+        h, align_vjp = align_stage(skew, x)
         h, features_vjp = features_stage(h, freq)
         dense_vjps = []
         last = len(layers) // 2 - 1
@@ -365,22 +370,12 @@ def predict(params, x):
         x = x[None, :]
     # Each stage's vjp, and with it the stage's input, is dropped as soon
     # as the stage returns.
-    h = align_stage(params.skew, x, params.reflected)[0]
+    h = align_stage(params.skew, x)[0]
     h = features_stage(h, params.freq)[0]
     last = len(params.layers) - 1
     for i, (w, b) in enumerate(params.layers):
         h = dense_stage(h, w, b, i != last)[0]
     return h[0] if single else h
-
-
-def alignment_matrix(params):
-    """The full alignment applied to inputs, including an orientation flip
-    of the last coordinate for reflected-parity frames (det -1 there)."""
-    q = lie.matrix_exp(lie.skew_from_params(params.skew, params.n), 1.0)
-    if params.reflected:
-        q = q.copy()
-        q[:, -1] = -q[:, -1]
-    return q
 
 
 def coefficient_norms(params):
@@ -408,7 +403,7 @@ def save_checkpoint(params, path, config=None):
         "lambda": params.rates.tolist(),
         "layers": [{"weight": w.tolist(), "bias": b.tolist()} for w, b in params.layers],
         "lossKind": params.loss_kind,
-        "reflected": params.reflected,
+        "reflected": False,
         "config": config or {},
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -417,10 +412,12 @@ def save_checkpoint(params, path, config=None):
 
 
 def load_checkpoint(path):
-    """(params, saved config) from a checkpoint file. A field of the wrong
-    kind (README "Checkpoints" lists the kinds), parameters whose shapes
-    do not chain, or frequencies other than the rows of
-    primitive_set(bandwidth, n/2) raise ValueError naming the file."""
+    """(params, saved config) from a checkpoint file; a file written in the
+    reflected frame loads as from_reflected_frame's proper-frame params. A
+    field of the wrong kind (README "Checkpoints" lists the kinds),
+    parameters whose shapes do not chain, or frequencies other than the
+    rows of primitive_set(bandwidth, n/2) raise ValueError naming the
+    file."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -438,8 +435,8 @@ def load_checkpoint(path):
             for i, layer in enumerate(fields.read(doc, "layers", list, where))
         ],
         loss_kind=fields.read(doc, "lossKind", ("squared-error", "logistic"), where),
-        reflected=fields.read(doc, "reflected", bool, where),
     )
+    reflected = fields.read(doc, "reflected", bool, where)
     try:
         params = GeneratorParams(**values)
     except ValueError as exc:
@@ -449,4 +446,5 @@ def load_checkpoint(path):
             f"{path}: frequencies are not the primitive set of bandwidth {params.bandwidth} "
             f"on {params.r} blocks"
         )
-    return params, fields.read(doc, "config", dict, where)
+    config = fields.read(doc, "config", dict, where)
+    return (from_reflected_frame(params) if reflected else params), config

@@ -202,8 +202,7 @@ class DiscoveryResult:
 def discover(params):
     """Reconstruct the generator from trained parameters, two ways.
 
-    Direct: assemble from the learned alignment and rates (canonicalized to
-    a det=+1 frame when the alignment carries the reflected parity).
+    Direct: assemble from the learned alignment and rates.
     Spectral: re-estimate the rates from the surviving first-layer
     frequencies and assemble in the same frame. The spectral estimate is
     reliable only when the surviving frequencies pin a one-dimensional
@@ -214,9 +213,6 @@ def discover(params):
     coeffs = model.coefficient_norms(params)
     surviving = surviving_frequencies(params.freq, coeffs, REL_THRESHOLD)
     rates_hat, nullity = estimate_lambda(surviving, params.r)
-    if params.reflected:
-        rates_hat = rates_hat.copy()
-        rates_hat[-1] = -rates_hat[-1]
     spectral = assemble_generator(CanonicalForm(cf.q, rates_hat))
     agreement = generator_cosine_similarity(direct, spectral)
     return DiscoveryResult(
@@ -288,11 +284,13 @@ def _rate_candidate(r, restart):
 def _train_single(dataset, cfg, restart):
     """One full optimization from a fresh init.
 
-    Even restart indices use the plain exp(A) alignment, odd ones its
-    reflected-parity twin (proper rotations cannot exchange a frequency ray
-    with its conjugate, so the two parities explore both orientation
-    classes). Each restart starts its rates at `_rate_candidate`'s
-    direction, and validation selection arbitrates between restarts.
+    Even restart indices start from their draw, odd ones from its mirror
+    image, which init_params(reflected=True) maps into the same exp(A)
+    frame: last rate negated, first layer permuted (proper rotations cannot
+    exchange a frequency ray with its conjugate, so the two starts cover
+    both orientation classes). Each restart starts its rates at
+    `_rate_candidate`'s direction, and validation selection arbitrates
+    between restarts.
     Raises _RestartFailure on a non-finite objective.
     """
     rng_init = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SALT_INIT, restart]))

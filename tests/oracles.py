@@ -135,7 +135,7 @@ def generic_objective_case(n, bandwidth, rng, hidden=6, samples=4):
     params = model.init_params(n, bandwidth, hidden=hidden, seed=rng, first_layer_scale=1.0)
     for _, b in params.layers:
         b += rng.uniform(0.05, 0.15, size=b.shape) * rng.choice([-1.0, 1.0], size=b.shape)
-    q = model.alignment_matrix(params)
+    q = params.canonical_form().q
     while True:
         x = rng.normal(size=(samples, n))
         z = x @ q
@@ -168,11 +168,41 @@ def gradcheck(build, init_params, floor=1e-3, step_scale=1e-6):
     return max_rel_error(ad, fd, floor)
 
 
-def staged_objective(tape, params, x, y, mu):
+def reflected_align_stage(skew, x):
+    """The align stage of the reflected frame exp(A)*D, D the negation of
+    the last coordinate: align_stage with the last aligned column negated,
+    in the value and in the adjoint."""
+    import sospec.model as model
+
+    z, vjp = model.align_stage(skew, x)
+    z[:, -1] = -z[:, -1]
+
+    def reflected_vjp(g):
+        g = g.copy()
+        g[:, -1] = -g[:, -1]
+        return vjp(g)
+
+    return z, reflected_vjp
+
+
+def reflected_predict(params, x):
+    """model.predict with the params read in the reflected frame."""
+    import sospec.model as model
+
+    h = reflected_align_stage(params.skew, np.asarray(x, dtype=np.float64))[0]
+    h = model.features_stage(h, params.freq)[0]
+    last = len(params.layers) - 1
+    for i, (w, b) in enumerate(params.layers):
+        h = model.dense_stage(h, w, b, i != last)[0]
+    return h
+
+
+def staged_objective(tape, params, x, y, mu, reflected=False):
     """The objective as one tape entry per model stage: align, features,
     each dense layer, loss, penalty and their weighted sum (nine entries for
     four layers). It is the reference that model.build_objective's single
-    fused entry must match byte for byte. Returns the same
+    fused entry must match byte for byte; with `reflected`, the params are
+    read in the reflected frame. Returns the same
     (objective, prediction loss, penalty, leaves) tuple."""
     import sospec.model as model
 
@@ -180,7 +210,8 @@ def staged_objective(tape, params, x, y, mu):
     y = np.asarray(y, dtype=np.float64)
     freq = params.freq
     leaves = {name: tape.param(a) for name, a in model.leaf_arrays(params).items()}
-    h = tape.record(model.align_stage, (leaves["skew"],), x, params.reflected)
+    align = reflected_align_stage if reflected else model.align_stage
+    h = tape.record(align, (leaves["skew"],), x)
     h = tape.record(model.features_stage, (h,), freq)
     last = len(params.layers) - 1
     for i in range(len(params.layers)):

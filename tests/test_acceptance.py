@@ -22,12 +22,8 @@ from oracles import (
 from sospec.autodiff import Tape
 from sospec.cli import main as cli_main
 from sospec.data import double_pendulum_task
-from sospec.lattice import (
-    TorusPoint,
-    character,
-    estimate_lambda,
-    primitive_set,
-)
+from sospec.kernels import torus_fwd
+from sospec.lattice import estimate_lambda, primitive_set
 from sospec.lie import (
     CanonicalForm,
     assemble_generator,
@@ -104,13 +100,16 @@ def test_criterion_3_resonance_theorem_suite():
             assert abs(coeff - expected) <= 1e-10, (m0, m)
             checked += 1
         theta = rng.uniform(0, 2 * np.pi, size=r)
-        p0 = TorusPoint(np.ones(r), theta)
         for m in primitive_set(2, r):
             dot = float(np.dot(m, lam))
             if dot == 0.0:
                 continue
             shifted = np.mod(theta + lam * (np.pi / dot), 2 * np.pi)
-            delta = abs(character(m, TorusPoint(np.ones(r), shifted)) - character(m, p0))
+            # the characters at theta and at shifted, as the model computes them
+            coords = np.exp(1j * np.stack([theta, shifted]))
+            cos_f, sin_f = torus_fwd(coords, m[None], np.empty((2, 2)))
+            characters = cos_f[:, 0] + 1j * sin_f[:, 0]
+            delta = abs(characters[1] - characters[0])
             assert delta > 1.0, m
             witnessed += 1
     report_line(3, "resonance theorem suite", f"{checked} coefficients, {witnessed} witnesses")

@@ -81,6 +81,20 @@ class TestGenData:
         assert f"got {n_samples}" in err and "Warning" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, found", [
+        (("--rates", "1,-1"), "--rates applies to synth tasks only"),
+        (("--generator", "generic"), "--generator applies to synth tasks only"),
+        (("--gen-bandwidth", "7"), "--gen-bandwidth applies to synth tasks only"),
+        (("--n", "4"), "pendulum6d is a 6-dimensional task, got --n 4"),
+    ])
+    def test_pendulum_rejects_synth_flags(self, tmp_path, capsys, flags, found):
+        out = tmp_path / "p.jsonl"
+        rc = run_cli("gen-data", "--task", "pendulum6d", "--n-samples", "50", *flags,
+                     "--out", str(out))
+        assert rc == 1
+        assert f"error: {found}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainEval:
     def test_train_writes_outputs_and_is_deterministic(self, tmp_path, dataset_file):
@@ -358,6 +372,40 @@ class TestTrainEval:
                 in capsys.readouterr().err)
         assert not (tmp_path / "eval.json").exists()
 
+    def test_eval_with_the_loss_of_another_task_exits_one(self, tmp_path, dataset_file, capsys):
+        cls = tmp_path / "cls.jsonl"
+        assert run_cli("gen-data", "--task", "synth-cls", "--n", "4", "--n-samples", "600",
+                       "--seed", "9", "--rates", "1,-1", "--out", str(cls)) == 0
+        for data, name in ((dataset_file, "reg"), (cls, "cls")):
+            assert run_cli("train", "--data", str(data), "--epochs", "2", "--warmup-epochs", "1",
+                           "--bandwidth", "1", "--restarts", "1",
+                           "--out", str(tmp_path / name)) == 0
+        for name, data, needs, has in (("cls", dataset_file, "squared-error", "logistic"),
+                                       ("reg", cls, "logistic", "squared-error")):
+            checkpoint = tmp_path / name / "checkpoint.json"
+            rc = run_cli("eval", "--checkpoint", str(checkpoint), "--data", str(data),
+                         "--out", str(tmp_path / "eval.json"))
+            assert rc == 1
+            assert (f"error: dataset {data} needs the {needs} loss, checkpoint {checkpoint} "
+                    f"was trained with the {has} loss") in capsys.readouterr().err
+            assert not (tmp_path / "eval.json").exists()
+
+    def test_checkpoint_of_the_reflected_frame_evaluates(self, tmp_path, dataset_file):
+        # as older versions wrote an odd restart: params of the reflected
+        # frame, "reflected": true
+        assert run_cli("train", "--data", str(dataset_file), "--epochs", "2",
+                       "--warmup-epochs", "1", "--bandwidth", "1", "--restarts", "1",
+                       "--out", str(tmp_path / "run")) == 0
+        path = tmp_path / "run" / "checkpoint.json"
+        params, config = model.load_checkpoint(path)
+        old = tmp_path / "old.json"
+        model.save_checkpoint(model.from_reflected_frame(params), old, config=config)
+        old.write_text(json.dumps({**json.loads(old.read_text()), "reflected": True}))
+        for checkpoint, out in ((path, "eval.json"), (old, "old_eval.json")):
+            assert run_cli("eval", "--checkpoint", str(checkpoint), "--data", str(dataset_file),
+                           "--out", str(tmp_path / out)) == 0
+        assert (tmp_path / "eval.json").read_text() == (tmp_path / "old_eval.json").read_text()
+
     def test_bad_flag_exits_one(self, tmp_path):
         rc = run_cli("train", "--data", "x", "--out", "y", "--no-such-flag")
         assert rc == 1
@@ -454,6 +502,9 @@ class TestSweepAndReport:
             (("--bandwidth", "1000000"), "bandwidth 1000000 is too large for 2 blocks"),
             (("--task", "pendulum6d", "--bandwidth", "100"),
              "bandwidth 100 is too large for 3 blocks"),
+            (("--task", "pendulum6d", "--rates", "1,-1,1"),
+             "--rates applies to synth tasks only, not to pendulum6d"),
+            (("--task", "pendulum6d", "--n", "4"), "pendulum6d is a 6-dimensional task, got --n 4"),
         ],
     )
     def test_bad_sweep_flag_is_named(self, tmp_path, capsys, flags, found):

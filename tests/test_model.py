@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 
 import sospec.model as model
-from oracles import fd_gradient, max_rel_error, staged_objective, traced_peak
-from sospec import kernels, lie
+from oracles import (
+    fd_gradient,
+    max_rel_error,
+    reflected_predict,
+    staged_objective,
+    traced_peak,
+)
+from sospec import kernels, lattice, lie
 from sospec.autodiff import Tape
+from sospec.lattice import primitive_set
 from sospec.lie import matrix_exp, skew_from_params
 
 
@@ -24,7 +31,7 @@ def hand_params(n, bandwidth, w1, hidden_layers, rates=None, skew=None):
 
 def align_rows(params, x):
     """align_stage's value: the rows of x in the params' learned frame."""
-    z, _ = model.align_stage(params.skew, x, params.reflected)
+    z, _ = model.align_stage(params.skew, x)
     return z
 
 
@@ -73,43 +80,39 @@ class TestExpSkewOnTape:
         for n in (2, 4, 6):
             skew = rng.normal(size=n * (n - 1) // 2)
             x = rng.normal(size=(7, n))
-            z, _ = model.align_stage(skew, x, False)
+            z, _ = model.align_stage(skew, x)
             assert np.array_equal(z, x @ matrix_exp(skew_from_params(skew, n), 1.0))
-            flipped, _ = model.align_stage(skew, x, True)
-            assert np.array_equal(flipped[:, :-1], z[:, :-1])
-            assert np.array_equal(flipped[:, -1], -z[:, -1])
 
     @staticmethod
-    def _vjp_error(skew, n, reflected, rng):
+    def _vjp_error(skew, n, rng):
         """align_stage's VJP against central differences, for a random
         weighted sum of its rows."""
         x = rng.normal(size=(5, n))
         weights = rng.normal(size=(5, n))
 
         def value(arrays):
-            z, _ = model.align_stage(arrays[0], x, reflected)
+            z, _ = model.align_stage(arrays[0], x)
             return float(np.sum(weights * z))
 
-        _, vjp = model.align_stage(skew, x, reflected)
+        _, vjp = model.align_stage(skew, x)
         return max_rel_error(list(vjp(weights)), fd_gradient(value, [skew.copy()]))
 
     def test_gradient_checks(self):
-        # large skews, both parities
+        # large skews
         rng = np.random.default_rng(6)
-        for n, reflected in ((4, False), (4, True), (6, False), (6, True)):
+        for n in (4, 6):
             skew = rng.normal(size=n * (n - 1) // 2)
             assert np.linalg.norm(skew_from_params(skew, n)) > 1.0
-            assert self._vjp_error(skew, n, reflected, rng) <= 1e-6
+            assert self._vjp_error(skew, n, rng) <= 1e-6
 
-    @pytest.mark.parametrize("reflected", [False, True])
     @pytest.mark.parametrize("rates", [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-    def test_gradient_checks_at_equal_eigenvalues(self, rates, reflected):
+    def test_gradient_checks_at_equal_eigenvalues(self, rates):
         # A = 0, and pendulum's equal rates: the eigenvalues of iA repeat
         a = lie.block_diag_rates(rates)
         rows, cols = lie.skew_indices(6)
         skew = a[cols, rows]
         assert np.array_equal(skew_from_params(skew, 6), a)
-        assert self._vjp_error(skew, 6, reflected, np.random.default_rng(7)) <= 1e-6
+        assert self._vjp_error(skew, 6, np.random.default_rng(7)) <= 1e-6
 
     def test_unknown_loss_rejected(self):
         with pytest.raises(ValueError):
@@ -353,7 +356,8 @@ class TestObjectiveGradients:
 
 def _fused_case(case, rng):
     """An objective case for the fused-versus-staged comparison. Cases cycle
-    through both parities, both losses, mu = 0, batch 1 and large skews."""
+    through both orientation starts, both losses, mu = 0, batch 1 and large
+    skews."""
     n, bandwidth = [(4, 1), (4, 2), (6, 1), (6, 2)][case % 4]
     params = model.init_params(
         n, bandwidth, hidden=8, seed=rng, first_layer_scale=1.0, reflected=bool(case % 2)
@@ -455,3 +459,87 @@ class TestCheckpoint:
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         with pytest.raises(ValueError, match=re.escape(f"{path}: {found}")):
             model.load_checkpoint(path)
+
+
+def _relative(got, expected):
+    """Largest absolute difference over the largest reference magnitude."""
+    return float(np.max(np.abs(got - expected)) / np.max(np.abs(expected)))
+
+
+def _reflected_case(n, bandwidth, seed):
+    """(params of the reflected frame, the same draws through
+    init_params(reflected=True), inputs, targets): skews at scale 0.7, so
+    that the alignment is far from the identity."""
+    reference, mapped = (
+        model.init_params(n, bandwidth, seed=seed, first_layer_scale=1.0, reflected=reflected)
+        for reflected in (False, True)
+    )
+    rng = np.random.default_rng(seed)
+    reference.skew[:] = mapped.skew[:] = 0.7 * rng.standard_normal(reference.skew.shape)
+    return reference, mapped, rng.normal(size=(32, n)), rng.normal(size=(32, 1))
+
+
+class TestReflectedFrame:
+    """A start in the reflected frame exp(A)*D, D negating the last
+    coordinate, is one point of the proper frame: the oracle that runs the
+    stages in the reflected frame is the reference."""
+
+    def test_reflect_last_block_is_a_signed_involution(self):
+        for bandwidth, r in ((1, 1), (3, 1), (1, 2), (3, 2), (2, 3), (2, 4)):
+            freq = primitive_set(bandwidth, r)
+            rows, signs = lattice.reflect_last_block(bandwidth, r)
+            assert sorted(rows.tolist()) == list(range(len(freq)))
+            assert np.array_equal(signs[:, None] * freq[rows], freq * ([1.0] * (r - 1) + [-1.0]))
+            assert np.array_equal(freq[signs == -1.0], [[0.0] * (r - 1) + [1.0]])
+            assert np.array_equal(rows[rows], np.arange(len(freq)))
+            assert np.array_equal(signs[rows], signs)
+            assert not rows.flags.writeable and not signs.flags.writeable
+            params = model.init_params(2 * r, bandwidth, hidden=4, seed=r)
+            twice = model.from_reflected_frame(model.from_reflected_frame(params))
+            for name, a in model.leaf_arrays(twice).items():
+                assert np.array_equal(a, model.leaf_arrays(params)[name]), name
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("bandwidth", [1, 2])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reflected_init_matches_the_reflected_frame(self, n, bandwidth, seed):
+        reference, mapped, x, y = _reflected_case(n, bandwidth, seed)
+        assert _relative(model.predict(mapped, x), reflected_predict(reference, x)) <= 1e-12
+        frame = reference.canonical_form().q * ([1.0] * (n - 1) + [-1.0])
+        reflected_generator = frame @ lie.block_diag_rates(reference.rates) @ frame.T
+        generator = lie.assemble_generator(mapped.canonical_form()).entries
+        assert _relative(generator, reflected_generator) <= 1e-12
+        tape, ref_tape = Tape(), Tape()
+        objective, _, _, leaves = model.build_objective(tape, mapped, x, y, 0.3)
+        ref_objective, _, _, ref_leaves = staged_objective(
+            ref_tape, reference, x, y, 0.3, reflected=True
+        )
+        tape.backward(objective)
+        ref_tape.backward(ref_objective)
+        assert _relative(objective.value, ref_objective.value) <= 1e-12
+        # the map is a signed permutation of the leaves, so it maps gradients too
+        ref_grads = reference.copy()
+        for name, a in model.leaf_arrays(ref_grads).items():
+            a[...] = ref_leaves[name].grad
+        expected = model.leaf_arrays(model.from_reflected_frame(ref_grads))
+        got = {name: leaf.grad for name, leaf in leaves.items()}
+        # relative to the whole gradient: the output bias's is a mean of residuals
+        # that cancel to a few 1e-5 of them
+        scale = max(np.max(np.abs(g)) for g in expected.values())
+        for name, g in expected.items():
+            assert np.max(np.abs(got[name] - g)) <= 1e-12 * scale, name
+
+    def test_reflected_checkpoint_loads_into_the_proper_frame(self, tmp_path):
+        reference, mapped, x, _ = _reflected_case(6, 2, 3)
+        old = tmp_path / "old.json"
+        model.save_checkpoint(reference, old)
+        old.write_text(json.dumps({**json.loads(old.read_text()), "reflected": True}))
+        loaded, _ = model.load_checkpoint(old)
+        for name, a in model.leaf_arrays(loaded).items():
+            assert np.array_equal(a, model.leaf_arrays(mapped)[name]), name
+        assert _relative(model.predict(loaded, x), reflected_predict(reference, x)) <= 1e-12
+        new = tmp_path / "new.json"
+        model.save_checkpoint(loaded, new)
+        assert json.loads(new.read_text())["reflected"] is False
+        again, _ = model.load_checkpoint(new)
+        assert np.array_equal(model.predict(again, x), model.predict(loaded, x))
