@@ -12,9 +12,10 @@ raw coordinates, so no angle is taken.
 
 Files are JSON lines: one meta header object, then one {"x": .., "y": ..}
 object per sample. Floats round-trip exactly. Saving and loading work in
-chunks of rows, run in a worker pool for large files. Loading allocates
-arrays of the header's shape and copies each chunk's rows into place, so
-memory stays at the arrays' size whatever the file's length.
+chunks of rows, run in a worker pool when a file has more than one.
+Loading allocates arrays of the header's shape and copies each chunk's
+rows into place, so memory stays at the arrays' size whatever the file's
+length.
 """
 
 import json
@@ -48,15 +49,6 @@ PENDULUM_TRIPLE = 0.25
 # parent's heap about 1.4 MB larger than an in-process one.
 SAVE_CHUNK_VALUES = 4096
 LOAD_CHUNK_BYTES = 1 << 17
-# Rows from which save_dataset and load_dataset run their chunks in a
-# worker pool (see `pool.worker_count`). Forking the pool and warming its
-# workers costs 25 to 70 ms. On two cores, with one `json.loads` and one
-# `%` a chunk, pooled and in-process pendulum saves and loads timed alone
-# were about even from 16 000 to 32 000 rows and the pool won from 48 000;
-# in perfbench's pendulum6d, whose gen_data_s and eval_s each save or load
-# 32 000 rows, they were 0.23 and 0.18 s pooled against 0.31 and 0.21 s
-# in-process (medians of four runs).
-PARALLEL_MIN_ROWS = 24000
 # What a number in a sample line may be made of, for `_parse_rows`.
 _NUMBER_BYTES = b"0123456789.eE+-"
 
@@ -353,17 +345,17 @@ def save_dataset(ds, path):
     anything is written, since load_dataset would reject the file.
 
     Rows are formatted in chunks of about SAVE_CHUNK_VALUES numbers, one
-    `json.dumps` a row, in a worker pool when there are at least
-    PARALLEL_MIN_ROWS of them. The text goes to a temporary file beside
-    the file `path` names (through any links), which replaces that file
-    only once every row is written, so a failure leaves whatever was there
-    as it was. A device or pipe, such as /dev/null, is written in place.
+    `json.dumps` a row, in a pool of `pool.worker_count(chunks)` workers.
+    The text goes to a temporary file beside the file `path` names
+    (through any links), which replaces that file only once every row is
+    written, so a failure leaves whatever was there as it was. A device
+    or pipe, such as /dev/null, is written in place.
     """
     if not (np.isfinite(ds.x).all() and np.isfinite(ds.y).all()):
         raise ValueError(f"{path}: non-finite value in x or y")
     rows, step = len(ds), max(1, SAVE_CHUNK_VALUES // (ds.meta.n + ds.meta.out_dim))
     tasks = [(start, min(start + step, rows)) for start in range(0, rows, step)]
-    workers = 1 if rows < PARALLEL_MIN_ROWS else pool.worker_count(len(tasks))
+    workers = pool.worker_count(len(tasks))
     in_place = os.path.exists(path) and not os.path.isfile(path)
     target = os.path.realpath(path)
     tmp = path if in_place else f"{target}.{os.getpid()}.tmp"
@@ -402,15 +394,15 @@ def load_dataset(path):
     """Read a JSONL dataset straight into arrays of the header's shape.
 
     The sample lines are parsed in byte ranges of about LOAD_CHUNK_BYTES
-    that end on line boundaries, in a worker pool when the header declares
-    at least PARALLEL_MIN_ROWS samples; each range's rows are copied into
-    their place as it arrives, so no list of rows is kept. Lines end at a
-    line feed; a carriage return before one is whitespace. Malformed
-    lines, a header field of the wrong kind (see README "Datasets"), a
-    header declaring more rows than the file can hold at two bytes a
-    number and two a line, rows whose width or count does not match the
-    header, and non-finite values raise ValueError naming the file (and
-    the line or the key), the first in file order.
+    that end on line boundaries, in a pool of `pool.worker_count(ranges)`
+    workers; each range's rows are copied into their place as it arrives,
+    so no list of rows is kept. Lines end at a line feed; a carriage
+    return before one is whitespace. Malformed lines, a header field of
+    the wrong kind (see README "Datasets"), a header declaring more rows
+    than the file can hold at two bytes a number and two a line, rows
+    whose width or count does not match the header, and non-finite values
+    raise ValueError naming the file (and the line or the key), the first
+    in file order.
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode("utf-8")
@@ -427,7 +419,7 @@ def load_dataset(path):
     x = np.empty((count, n))
     y = np.empty((count, out_dim))
     linenos = np.empty(count, dtype=np.int64)
-    workers = 1 if count < PARALLEL_MIN_ROWS else pool.worker_count(len(tasks))
+    workers = pool.worker_count(len(tasks))
     row = 0
     with closing(pool.run_in_order(_parse_rows, path, tasks, workers)) as chunks:
         for chunk_x, chunk_y, chunk_linenos, error in chunks:

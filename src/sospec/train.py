@@ -40,12 +40,12 @@ REL_THRESHOLD = 0.1
 # Salts for the independent random streams of a run.
 _SALT_INIT, _SALT_SPLIT, _SALT_BATCH, _SALT_EVAL = 0, 1, 2, 3
 
-# Optimizer steps per restart below which `train` keeps the
-# restarts in-process. A forked pool costs about 20 ms to start, plus
-# shipping the dataset and results; on two cores two restarts broke even
-# at about 75 steps each and ran 1.5 to 2 times as fast from 150 on. The
-# floor keeps a wide margin, and keeps tiny runs in-process.
-PARALLEL_MIN_STEPS = 1000
+# Optimizer steps per restart below which `train` keeps the restarts
+# in-process. A forked pool costs about 20 ms to start, plus shipping the
+# results; on two cores two pendulum restarts (medians of 7) broke even
+# between 80 and 100 steps each at bandwidth 1 and at about 60 at
+# bandwidth 2, and ran 1.4 to 1.6 times as fast from 120 on.
+PARALLEL_MIN_STEPS = 100
 
 
 @dataclass
@@ -317,13 +317,15 @@ def _train_single(dataset, cfg, restart):
     for epoch in range(cfg.epochs):
         mu = mu_schedule(epoch, cfg)
         order = rng_batch.permutation(train_idx)
+        # One gather an epoch; each batch is then a contiguous slice of it.
+        x_epoch, y_epoch = dataset.x[order], dataset.y[order]
         epoch_losses = []
         epoch_penalties = []
         for lo in range(0, order.size, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
+            hi = lo + cfg.batch_size
             tape = Tape()
             objective, pred_loss, penalty, leaves = model.build_objective(
-                tape, params, dataset.x[idx], dataset.y[idx], mu
+                tape, params, x_epoch[lo:hi], y_epoch[lo:hi], mu
             )
             if not np.isfinite(objective.value):
                 raise _RestartFailure(

@@ -360,17 +360,26 @@ def pools(monkeypatch):
     return made
 
 
+_worker_count = pool_mod.worker_count
+
+
 def _assert_pools(pools, count):
     """`count` pools of more than one worker were made, if this machine
     pools at all."""
-    assert len(pools) == (count if pool_mod.worker_count(2) > 1 else 0)
+    assert len(pools) == (count if _worker_count(2) > 1 else 0)
     assert all(workers > 1 for workers in pools)
+
+
+def _pool_if(monkeypatch, pooled):
+    """Size every job's pool by `pool.worker_count` if `pooled`, else keep
+    every job in-process."""
+    monkeypatch.setattr(pool_mod, "worker_count", _worker_count if pooled else lambda tasks: 1)
 
 
 @pytest.fixture(scope="module")
 def big_file(tmp_path_factory):
-    """A pendulum file just above the row floor, as lines."""
-    ds = data.double_pendulum_task(data.PARALLEL_MIN_ROWS + 1000, 0.1, seed=30)
+    """A pendulum file of several save and load chunks, as lines."""
+    ds = data.double_pendulum_task(3000, 0.1, seed=30)
     path = tmp_path_factory.mktemp("big") / "big.jsonl"
     data.save_dataset(ds, path)
     return path.read_text().split("\n")
@@ -378,7 +387,7 @@ def big_file(tmp_path_factory):
 
 def _load_message(monkeypatch, path, pools, pooled):
     """load_dataset's error for `path`, through the pool or in-process."""
-    monkeypatch.setattr(data, "PARALLEL_MIN_ROWS", data.PARALLEL_MIN_ROWS if pooled else 10**9)
+    _pool_if(monkeypatch, pooled)
     pools.clear()
     with pytest.raises(ValueError) as err:
         data.load_dataset(path)
@@ -396,7 +405,7 @@ def _fail_on_second_chunk(ds, start, stop):
 
 
 def _save_and_load(path):
-    ds = data.double_pendulum_task(data.PARALLEL_MIN_ROWS, 0.1, seed=35)
+    ds = data.double_pendulum_task(3000, 0.1, seed=35)
     data.save_dataset(ds, path)
     back = data.load_dataset(path)
     return np.array_equal(back.x, ds.x) and np.array_equal(back.y, ds.y)
@@ -405,7 +414,7 @@ def _save_and_load(path):
 class TestChunkedIO:
     @pytest.mark.parametrize("task", ["pendulum6d", "synth-cls"])
     def test_pooled_save_writes_the_per_row_bytes(self, tmp_path, pools, task):
-        rows = data.PARALLEL_MIN_ROWS + 123
+        rows = 3123
         if task == "pendulum6d":
             ds = data.double_pendulum_task(rows, 0.1, seed=31)
         else:
@@ -420,12 +429,15 @@ class TestChunkedIO:
         _assert_pools(pools, 2)
 
     def test_small_files_stay_in_process(self, tmp_path, pools):
-        ds = data.double_pendulum_task(data.PARALLEL_MIN_ROWS - 1, 0.1, seed=34)
+        rows = data.SAVE_CHUNK_VALUES // 7  # the pendulum rows of one save chunk
         path = tmp_path / "ds.jsonl"
-        data.save_dataset(ds, path)
-        assert path.read_bytes() == _oracle_bytes(ds)
-        assert np.array_equal(data.load_dataset(path).x, ds.x)
-        assert pools == []
+        for count, made in ((rows, 0), (rows + 1, 1)):  # one more row is a second save chunk
+            ds = data.double_pendulum_task(count, 0.1, seed=34)
+            data.save_dataset(ds, path)
+            assert path.read_bytes() == _oracle_bytes(ds)
+            assert path.stat().st_size < data.LOAD_CHUNK_BYTES  # one load chunk
+            assert np.array_equal(data.load_dataset(path).x, ds.x)
+            _assert_pools(pools, made)
 
     def test_pool_worker_saves_and_loads_in_process(self, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -476,7 +488,7 @@ class TestChunkedIO:
         for field in (ds.x, ds.y):
             where = rng.random(field.shape) < 0.3
             field[where] = rng.choice(extremes, size=where.sum())
-        monkeypatch.setattr(data, "PARALLEL_MIN_ROWS", 1 if pooled else 10**9)
+        _pool_if(monkeypatch, pooled)
         path = tmp_path / "ds.jsonl"
         data.save_dataset(ds, path)
         assert path.read_bytes() == _oracle_bytes(ds)
@@ -514,7 +526,7 @@ class TestChunkedIO:
         path = tmp_path / "other.jsonl"
         path.write_text("\n".join(lines))
         samples = [json.loads(line) for line in "\n".join(lines[1:]).split("\n") if line.strip()]
-        monkeypatch.setattr(data, "PARALLEL_MIN_ROWS", data.PARALLEL_MIN_ROWS if pooled else 10**9)
+        _pool_if(monkeypatch, pooled)
         back = data.load_dataset(path)
         assert np.array_equal(_bits(back.x), _bits(np.array([s["x"] for s in samples])))
         assert np.array_equal(_bits(back.y), _bits(np.array([s["y"] for s in samples])))
@@ -552,17 +564,18 @@ class TestChunkedIO:
         assert pooled == _load_message(monkeypatch, path, pools, pooled=False)
         assert pooled == f"{path}: {rows} samples, meta header declares nSamples={rows + 1}"
 
-    @pytest.mark.parametrize("rows", [50, data.PARALLEL_MIN_ROWS])
-    def test_failed_save_leaves_the_old_file(self, tmp_path, monkeypatch, pools, rows):
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_failed_save_leaves_the_old_file(self, tmp_path, monkeypatch, pools, pooled):
         path = tmp_path / "ds.jsonl"
         path.write_text("the old file\n")
         monkeypatch.setattr(data, "SAVE_CHUNK_VALUES", 7 * 10)  # ten pendulum rows a chunk
         monkeypatch.setattr(data, "_format_rows", _fail_on_second_chunk)
+        _pool_if(monkeypatch, pooled)
         with pytest.raises(RuntimeError, match="chunk failed"):
-            data.save_dataset(data.double_pendulum_task(rows, 0.1, seed=36), path)
+            data.save_dataset(data.double_pendulum_task(50, 0.1, seed=36), path)
         assert path.read_text() == "the old file\n"
         assert os.listdir(tmp_path) == ["ds.jsonl"]
-        _assert_pools(pools, 1 if rows >= data.PARALLEL_MIN_ROWS else 0)
+        _assert_pools(pools, 1 if pooled else 0)
 
     def test_save_through_a_link_replaces_its_target(self, tmp_path):
         ds = data.double_pendulum_task(20, 0.1, seed=37)

@@ -100,3 +100,25 @@ class TestKernelSemantics:
                 ev[i] = b2 * ev[i] + (1 - b2) * g[i] * g[i]
                 expect[i] -= lr * (em[i] / bc1) / (np.sqrt(ev[i] / bc2) + eps)
         assert np.allclose(p, expect, atol=1e-15)
+
+    def test_adam_zeroes_subnormal_moments_after_the_update(self):
+        rng = np.random.default_rng(8)
+        p, g, v = rng.normal(size=6), rng.normal(size=6), rng.random(6) * 1e-6
+        g[:3] = 0.0
+        m = np.array([1e-308, -2e-308, 3e-300, 0.5, -0.5, 1e-308])
+        lr, b1, b2, eps = 2e-3, 0.9, 0.999, 1e-8
+        bc1, bc2 = 1 - b1**50, 1 - b2**50
+        # the update without the flush, in adam_step's order of operations
+        em, ev = b1 * m + (1 - b1) * g, b2 * v + (1 - b2) * g * g
+        ep = p - lr * (em / bc1) / (np.sqrt(ev / bc2) + eps)
+        assert np.all((0 < np.abs(em[:2])) & (np.abs(em[:2]) < np.finfo(np.float64).tiny))
+        kernels.adam_step(p, g, m, v, lr, b1, b2, eps, bc1, bc2)
+        assert p.tobytes() == ep.tobytes() and v.tobytes() == ev.tobytes()
+        assert np.all(m[:2] == 0.0) and m[2:].tobytes() == em[2:].tobytes()
+
+    def test_int_and_float_frequencies_give_the_same_columns(self):
+        z, freq, _ = _random_case(9)
+        ints = freq.astype(np.intp)
+        first = _characters(z, freq)
+        for again in (ints, freq, ints):
+            assert _characters(z, again).tobytes() == first.tobytes()

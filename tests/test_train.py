@@ -238,10 +238,10 @@ class TestParallelRestarts:
         params, report = train(_restart_dataset(600, seed=14), micro_config())  # 6 x 4 steps
         assert params is not None and report.failure_reason is None
 
-        big, cfg = _zeros(4000), TrainConfig()  # 40 epochs x 25 batches = PARALLEL_MIN_STEPS
+        big, cfg = _zeros(4000), TrainConfig(epochs=4, warmup_epochs=1)  # 4 x 25 steps
         assert cfg.epochs * 25 == train_mod.PARALLEL_MIN_STEPS
         assert train_mod._restart_workers(big, cfg) == _parent_workers(cfg)
-        assert train_mod._restart_workers(big, TrainConfig(epochs=39, warmup_epochs=9)) == 1
+        assert train_mod._restart_workers(big, TrainConfig(epochs=3, warmup_epochs=1)) == 1
 
     def test_pool_worker_trains_in_process(self):
         big, cfg = _zeros(4000), TrainConfig()
