@@ -23,6 +23,7 @@ from .data import (
     synth_invariant_classification,
     synth_invariant_regression,
 )
+from .lattice import primitive_set
 from .sweep import SweepSpec, check_values, run_sweep, write_sweep_outputs
 from .train import RunReport, TrainConfig, evaluate_params, resolve_loss, train
 
@@ -40,7 +41,7 @@ class CliError(Exception):
 
 def _parse_config_file(path):
     values = {}
-    text = Path(_require_file(path, "config file")).read_text(encoding="utf-8")
+    text = fields.text(Path(_require_file(path, "config file")).read_bytes(), path)
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -150,11 +151,12 @@ def cmd_gen_data(args):
     else:
         n = _ambient_dimension(args.n)
         rates = None if args.rates is None else _parse_rates(args.rates)
+        bandwidth = DATA_BANDWIDTH if args.gen_bandwidth is None else args.gen_bandwidth
+        primitive_set(bandwidth, n // 2)  # rejects a box too large before the frame is drawn
         cf = synth_generator(n, args.seed, rates, args.generator or "mixed")
         maker = (
             synth_invariant_classification if args.task == "synth-cls" else synth_invariant_regression
         )
-        bandwidth = DATA_BANDWIDTH if args.gen_bandwidth is None else args.gen_bandwidth
         ds = maker(cf, args.n_samples, args.sigma, args.seed, bandwidth=bandwidth)
     save_dataset(ds, args.out)
     print(f"gen-data: wrote {len(ds)} samples of task {ds.meta.task} (n={ds.meta.n}) to {args.out}")
@@ -260,7 +262,7 @@ def cmd_report(args):
     rows = {}
     for path in sorted(root.rglob("*report*.json")):
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc = json.loads(fields.text(path.read_bytes(), path))
         except json.JSONDecodeError as exc:
             raise CliError(f"unreadable report {path}: {exc}") from exc
         where = f"{path}: report"

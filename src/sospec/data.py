@@ -11,14 +11,18 @@ character with its envelope, rho_m e^{i m.theta}, is prod_k z_k^{m_k}
 raw coordinates, so no angle is taken.
 
 Files are JSON lines: one meta header object, then one {"x": .., "y": ..}
-object per sample. Floats round-trip exactly. Saving and loading work in
-chunks of rows, run in a worker pool when a file has more than one.
-Loading allocates arrays of the header's shape and copies each chunk's
+object per sample. Floats round-trip exactly. Saving works in chunks of
+rows, and loading a file laid out as saving writes it works in byte
+ranges of lines, each run in a worker pool when a file has more than one.
+Loading allocates arrays of the header's shape and copies each range's
 rows into place, so memory stays at the arrays' size whatever the file's
-length.
+length. Any other file, and any file with a problem, is read once more
+in-process one line at a time, and that pass is the only source of the
+loader's error messages.
 """
 
 import json
+import math
 import os
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -393,19 +397,20 @@ def _format_rows(ds, start, stop):
 def load_dataset(path):
     """Read a JSONL dataset straight into arrays of the header's shape.
 
-    The sample lines are parsed in byte ranges of about LOAD_CHUNK_BYTES
-    that end on line boundaries, in a pool of `pool.worker_count(ranges)`
-    workers; each range's rows are copied into their place as it arrives,
-    so no list of rows is kept. Lines end at a line feed; a carriage
-    return before one is whitespace. Malformed lines, a header field of
-    the wrong kind (see README "Datasets"), a header declaring more rows
-    than the file can hold at two bytes a number and two a line, rows
-    whose width or count does not match the header, and non-finite values
-    raise ValueError naming the file (and the line or the key), the first
-    in file order.
+    A header that is not UTF-8 JSON, has a field of the wrong kind (see
+    README "Datasets") or declares more rows than the file can hold, at two
+    bytes a number and two a line, raises ValueError at once. Sample lines
+    laid out exactly as save_dataset writes them are then parsed in byte
+    ranges of about LOAD_CHUNK_BYTES that end on line boundaries, in a pool
+    of `pool.worker_count(ranges)` workers; each range's rows are copied
+    into their place as it arrives, so no list of rows is kept. A range
+    laid out any other way, a row count other than the header's or a
+    non-finite value sends the whole file once through `_read_lines`,
+    which loads the lines if they are valid and otherwise raises
+    ValueError naming the file and the line of the first problem.
     """
     with open(path, "rb") as fh:
-        header = fh.readline().decode("utf-8")
+        header = fields.text(fh.readline(), path)
         if not header:
             raise ValueError(f"{path}: empty dataset file")
         meta = DatasetMeta.from_json_dict(
@@ -418,92 +423,83 @@ def load_dataset(path):
         tasks = [(*span, n, out_dim) for span in _line_spans(fh)]
     x = np.empty((count, n))
     y = np.empty((count, out_dim))
-    linenos = np.empty(count, dtype=np.int64)
-    workers = pool.worker_count(len(tasks))
-    row = 0
+    row, workers = 0, pool.worker_count(len(tasks))
     with closing(pool.run_in_order(_parse_rows, path, tasks, workers)) as chunks:
-        for chunk_x, chunk_y, chunk_linenos, error in chunks:
-            take = min(len(chunk_linenos), count - row)
-            x[row : row + take] = chunk_x[:take]
-            y[row : row + take] = chunk_y[:take]
-            linenos[row : row + take] = chunk_linenos[:take]
-            row += take
-            # a row past nSamples comes before any later problem, and so
-            # does a bad line where no row may follow
-            if take < len(chunk_linenos) or (error is not None and row == count):
-                rows = count + _lines_after(path, linenos[count - 1] if count else 1)
-                raise ValueError(f"{path}: {rows} samples, meta header declares nSamples={count}")
-            if error is not None:
-                raise error
+        for values in chunks:
+            if values is None or row + len(values) > count or not np.isfinite(values).all():
+                row = None  # read the whole file again, one line at a time
+                break
+            x[row : row + len(values)] = values[:, :n]
+            y[row : row + len(values)] = values[:, n:]
+            row += len(values)
     if row != count:
-        raise ValueError(f"{path}: {row} samples, meta header declares nSamples={count}")
+        _read_lines(path, x, y)
     try:
-        ds = Dataset(x, y, meta)
+        return Dataset(x, y, meta)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    finite = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"{path}: line {linenos[np.argmin(finite)]}: non-finite value in x or y")
-    return ds
 
 
 def _line_spans(fh):
-    """(start, stop, line number) of the byte ranges from `fh`'s position
-    to its end: each about LOAD_CHUNK_BYTES long and ending after a line
-    feed (or at the end of the file), numbered by the line each begins
-    with, counting the header as line 1."""
-    start, lineno = fh.tell(), 2
-    while block := fh.read(LOAD_CHUNK_BYTES):
-        if not block.endswith(b"\n"):
-            block += fh.readline()
-        yield start, start + len(block), lineno
-        start += len(block)
-        lineno += block.count(b"\n")
+    """(start, stop) of the byte ranges from `fh`'s position to its end,
+    each about LOAD_CHUNK_BYTES long and ending after a line feed (or at
+    the end of the file)."""
+    start, end = fh.tell(), os.fstat(fh.fileno()).st_size
+    while start < end:
+        fh.seek(min(start + LOAD_CHUNK_BYTES, end) - 1)
+        fh.readline()
+        yield start, fh.tell()
+        start = fh.tell()
 
 
-def _parse_rows(path, start, stop, lineno, n, out_dim):
-    """Parse the sample lines in bytes start..stop-1 of `path`, the first
-    of which is line `lineno`.
+def _parse_rows(path, start, stop, n, out_dim):
+    """The sample lines in bytes start..stop-1 of `path` as one (rows,
+    n + out_dim) array, or None unless they are laid out exactly as
+    save_dataset writes them and every number converts.
 
-    Returns (x, y, linenos, error): the rows up to the first bad line, each
-    row's line number, and the ValueError that line raised (None if there
-    is none), so the caller can tell which problem comes first in the file.
-
-    Lines exactly as save_dataset writes them, apart from their numbers,
-    are parsed with one `json.loads` of all their numbers as one list; the
-    same scanner then checks and converts each number as it would on its
-    own line. Any other text, and numbers that scanner or the conversion
-    to float rejects, go through the lines one `json.loads` at a time,
-    which is where every error message comes from.
+    The structure is checked with the numbers deleted, then taken out, and
+    all the numbers are parsed with one `json.loads` as one list: json's
+    scanner checks and converts each number as it would on its own line.
     """
     with open(path, "rb") as fh:
         fh.seek(start)
         block = fh.read(stop - start)
     rows = block.count(b"\n")
     skeleton = _row_template(n, out_dim).replace("%r", "").encode()
-    if rows and block.translate(None, _NUMBER_BYTES) == skeleton * rows:
-        # what lies between the first '{"x": [' and the last ']}\n', with the
-        # structure between them replaced; anything but numbers and ", "
-        # left over means a number stood inside the structure
-        numbers = block.replace(b']}\n{"x": [', b", ").replace(b'], "y": [', b", ")[7:-3]
-        if numbers.translate(None, _NUMBER_BYTES) == b", " * (rows * (n + out_dim) - 1):
-            try:
-                values = np.array(json.loads("[%s]" % numbers.decode()), dtype=np.float64)
-            except (ValueError, OverflowError):
-                pass
-            else:
-                values = values.reshape(rows, n + out_dim)
-                return values[:, :n], values[:, n:], np.arange(lineno, lineno + rows), None
-    lines = block.decode("utf-8").split("\n")
-    x = np.empty((len(lines), n))
-    y = np.empty((len(lines), out_dim))
-    linenos = np.empty(len(lines), dtype=np.int64)
-    row = 0
+    if not rows or block.translate(None, _NUMBER_BYTES) != skeleton * rows:
+        return None
+    # what lies between the first '{"x": [' and the last ']}\n', with the
+    # structure between them replaced; anything but numbers and ", " left
+    # over means a number stood inside the structure
+    numbers = block.replace(b']}\n{"x": [', b", ").replace(b'], "y": [', b", ")[7:-3]
+    if numbers.translate(None, _NUMBER_BYTES) != b", " * (rows * (n + out_dim) - 1):
+        return None
     try:
-        for lineno, line in enumerate(lines, start=lineno):
-            if not line or line.isspace():
+        values = np.array(json.loads("[%s]" % numbers.decode()), dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+    return values.reshape(rows, n + out_dim)
+
+
+def _read_lines(path, x, y):
+    """Parse the sample lines of `path` into x and y, one `json.loads` a
+    line, raising ValueError at the first problem in file order.
+
+    Lines end at a line feed; a carriage return before one is whitespace,
+    and lines of ASCII whitespace are skipped. A line beyond the header's
+    row count is reported as one more sample, however it reads.
+    """
+    (count, n), out_dim = x.shape, y.shape[1]
+    row = 0
+    with open(path, "rb") as fh:
+        fh.readline()
+        for lineno, raw in enumerate(fh, start=2):
+            if raw.isspace():
                 continue
-            obj = _parse_line(path, lineno, line)
+            if row == count:
+                rows = count + 1 + sum(not rest.isspace() for rest in fh)
+                raise ValueError(f"{path}: {rows} samples, meta header declares nSamples={count}")
+            obj = _parse_line(path, lineno, fields.text(raw.removesuffix(b"\n"), path, lineno))
             xs, ys = (fields.read(obj, key, list, f"{path}: line {lineno}: sample") for key in "xy")
             if len(xs) != n or len(ys) != out_dim:
                 raise ValueError(
@@ -511,21 +507,14 @@ def _parse_rows(path, start, stop, lineno, n, out_dim):
                     f"meta declares n={n} and out_dim={out_dim} (line {lineno})"
                 )
             try:
-                x[row] = xs
-                y[row] = ys
+                x[row], y[row] = xs, ys
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            linenos[row] = lineno
+            if not all(map(math.isfinite, x[row].tolist() + y[row].tolist())):
+                raise ValueError(f"{path}: line {lineno}: non-finite value in x or y")
             row += 1
-    except ValueError as exc:
-        return x[:row], y[:row], linenos[:row], exc
-    return x[:row], y[:row], linenos[:row], None
-
-
-def _lines_after(path, lineno):
-    """The number of sample lines in `path` after line `lineno`."""
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        return sum(1 for i, line in enumerate(fh, start=1) if i > lineno and not line.isspace())
+    if row != count:
+        raise ValueError(f"{path}: {row} samples, meta header declares nSamples={count}")
 
 
 def _parse_line(path, lineno, line):

@@ -4,7 +4,9 @@ Datasets, checkpoints, their training configurations and run reports read
 every field through `read`, which decides what a valid field is. A field
 that is not raises ValueError("<where> <key> is not <kind>"), where `where`
 names the file, the document and the key path above `key`; the CLI turns
-that into exit code 1.
+that into exit code 1. The same documents, and config files, decode their
+bytes through `text`, which names the file and the line of bytes that are
+not UTF-8.
 """
 
 import sys
@@ -29,6 +31,19 @@ class Array:
     a finite JSON number."""
 
     ndim: int
+
+
+def text(raw, path, lineno=1):
+    """`raw`, the bytes of `path` from the start of line `lineno`, decoded
+    as UTF-8; bytes that are not raise ValueError naming the file and the
+    line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno += raw.count(b"\n", 0, exc.start)
+        column = exc.start - raw.rfind(b"\n", 0, exc.start)
+        message = f"line {lineno}: byte {column} is not UTF-8 ({exc.reason})"
+        raise ValueError(f"{path}: {message}") from exc
 
 
 def read(doc, key, kind, where, default=REQUIRED):

@@ -418,11 +418,12 @@ def load_checkpoint(path):
     parameters whose shapes do not chain, or frequencies other than the
     rows of primitive_set(bandwidth, n/2) raise ValueError naming the
     file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+    with open(path, "rb") as fh:
+        text = fields.text(fh.read(), path)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     where = f"{path}: checkpoint"
     values = dict(
         n=fields.read(doc, "n", int, where),

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import (
+    DATA_BANDWIDTH,
     check_noise_sigma,
     double_pendulum_task,
     synth_generator,
@@ -50,8 +51,11 @@ class SweepSpec:
             raise ValueError(f"ambient dimension must be even, got {self.n}")
         if self.task == "synth" and self.rates is not None and len(self.rates) != self.n // 2:
             raise ValueError(f"need {self.n // 2} rates for n={self.n}, got {self.rates}")
-        # raises ValueError on a bandwidth too large to enumerate, before any cell runs
+        # raise ValueError on a bandwidth too large to enumerate, before any
+        # cell runs: the model's, and the one synth data are built at
         primitive_set(self.base.bandwidth, 3 if self.task == "pendulum6d" else self.n // 2)
+        if self.task == "synth":
+            primitive_set(DATA_BANDWIDTH, self.n // 2)
 
 
 def check_values(values):

@@ -1,10 +1,14 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sospec
 import sospec.cli as cli
 import sospec.model as model
 from sospec import sweep
@@ -92,6 +96,22 @@ class TestGenData:
         rc = run_cli("gen-data", "--task", "pendulum6d", "--n-samples", "50", *flags,
                      "--out", str(out))
         assert rc == 1
+        assert f"error: {found}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("flags, found", [
+        (("--n", "3000"), "bandwidth 2 is too large for 1500 blocks"),
+        (("--n", "4", "--gen-bandwidth", "1000"), "bandwidth 1000 is too large for 2 blocks"),
+    ])
+    def test_too_large_a_box_exits_one_before_the_frame_is_drawn(self, tmp_path, capsys,
+                                                                  monkeypatch, flags, found):
+        def no_frame(*args):
+            raise AssertionError("the frame was drawn")
+
+        monkeypatch.setattr(cli, "synth_generator", no_frame)
+        out = tmp_path / "x.jsonl"
+        assert run_cli("gen-data", "--task", "synth", *flags, "--out", str(out)) == 1
         assert f"error: {found}" in capsys.readouterr().err
         assert not out.exists()
 
@@ -505,6 +525,9 @@ class TestSweepAndReport:
             (("--task", "pendulum6d", "--rates", "1,-1,1"),
              "--rates applies to synth tasks only, not to pendulum6d"),
             (("--task", "pendulum6d", "--n", "4"), "pendulum6d is a 6-dimensional task, got --n 4"),
+            # the data's box: synth data are built at DATA_BANDWIDTH = 2
+            (("--n", "20", "--rates", "1,1,1,1,1,1,1,1,1,-1", "--bandwidth", "1"),
+             "bandwidth 2 is too large for 10 blocks"),
         ],
     )
     def test_bad_sweep_flag_is_named(self, tmp_path, capsys, flags, found):
@@ -517,3 +540,65 @@ class TestSweepAndReport:
 
     def test_report_on_empty_dir_exits_one(self, tmp_path):
         assert run_cli("report", "--dir", str(tmp_path)) == 1
+
+
+def _not_utf8(path, lineno, column):
+    """Put a 0xff byte at byte `column` of line `lineno` of `path`."""
+    lines = path.read_bytes().split(b"\n")
+    line = lines[lineno - 1]
+    lines[lineno - 1] = line[: column - 1] + b"\xff" + line[column:]
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("document, line, column", [
+    ("train --data", 5, 30),
+    ("eval --data", 5, 30),
+    ("eval --checkpoint", 1, 12),
+    ("train --config", 2, 5),
+    ("report --dir", 1, 12),
+])
+def test_bytes_that_are_not_utf8_name_the_file_and_line(tmp_path, dataset_file, capsys,
+                                                        document, line, column):
+    run = tmp_path / "run"
+    train = ["train", "--data", str(dataset_file), "--epochs", "2", "--warmup-epochs", "1",
+             "--bandwidth", "1", "--restarts", "1", "--out", str(run)]
+    eval_ = ["eval", "--checkpoint", str(run / "checkpoint.json"), "--data", str(dataset_file),
+             "--out", str(tmp_path / "eval.json")]
+    if not document.startswith("train"):
+        assert run_cli(*train) == 0
+    config = tmp_path / "run.cfg"
+    config.write_text("epochs = 2\n# a comment\n")
+    bad, argv = {
+        "train --data": (dataset_file, train),
+        "eval --data": (dataset_file, eval_),
+        "eval --checkpoint": (run / "checkpoint.json", eval_),
+        "train --config": (config, [*train, "--config", str(config)]),
+        "report --dir": (run / "report.json", ["report", "--dir", str(run)]),
+    }[document]
+    _not_utf8(bad, line, column)
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: line {line}: byte {column} is not UTF-8 (invalid start byte)" in err
+
+
+def test_the_cli_runs_without_scipy(tmp_path):
+    # numpy is the one runtime dependency; the tests run with scipy installed,
+    # so a stray scipy import would pass everywhere else
+    script = """
+import sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+from sospec.cli import main
+data, run = sys.argv[1] + "/ds.jsonl", sys.argv[1] + "/run"
+assert main(["gen-data", "--task", "pendulum6d", "--n-samples", "300", "--out", data]) == 0
+assert main(["train", "--data", data, "--epochs", "1", "--warmup-epochs", "1",
+             "--restarts", "1", "--out", run]) == 0
+assert main(["eval", "--checkpoint", run + "/checkpoint.json", "--data", data,
+             "--out", run + "/eval.json"]) == 0
+"""
+    src = os.path.dirname(os.path.dirname(sospec.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "run" / "eval.json").exists()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import stat
@@ -334,6 +335,18 @@ def _row(first):
     return '{"x": [%s, 0.5, -1.25, 2.0, 0.0, 3.5], "y": [0.75]}' % first
 
 
+# Problems a sample line can have, and the line that has each, for
+# test_the_first_problem_in_file_order_is_reported; a row beyond nSamples
+# is made by lowering the header's count.
+_PROBLEMS = {
+    "malformed JSON": "{not json}",
+    "row width": '{"x": [1.0, 2.0], "y": [0.5]}',
+    "non-finite value": _row("NaN"),
+    "int too large": _row("1" * 400),
+    "row beyond nSamples": None,
+}
+
+
 def _bits(a):
     """`a`'s values as integers, so -0.0 and 0.0 differ."""
     return a.view(np.uint64)
@@ -563,6 +576,35 @@ class TestChunkedIO:
         pooled = _load_message(monkeypatch, path, pools, pooled=True)
         assert pooled == _load_message(monkeypatch, path, pools, pooled=False)
         assert pooled == f"{path}: {rows} samples, meta header declares nSamples={rows + 1}"
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("at", [(3, 7), (5, 36)])
+    @pytest.mark.parametrize("first, second", itertools.permutations(_PROBLEMS, 2))
+    def test_the_first_problem_in_file_order_is_reported(self, tmp_path, monkeypatch, pools,
+                                                         first, second, at, pooled):
+        monkeypatch.setattr(data, "LOAD_CHUNK_BYTES", 1024)  # about seven pendulum rows a range
+        path = tmp_path / "ds.jsonl"
+        data.save_dataset(data.double_pendulum_task(40, 0.1, seed=44), path)
+        lines = path.read_text().split("\n")
+        for problem, lineno in zip((first, second), at):
+            if problem == "row beyond nSamples":
+                header = json.loads(lines[0])
+                header["meta"]["nSamples"] = lineno - 2
+                lines[0] = json.dumps(header)
+            else:
+                lines[lineno - 1] = _PROBLEMS[problem]
+        path.write_text("\n".join(lines))
+        expected = {
+            "malformed JSON": f"{path}: line {at[0]}: invalid JSON (",
+            "row width": f"{path}: samples have 2 inputs and 1 outputs, "
+                         f"meta declares n=6 and out_dim=1 (line {at[0]})",
+            "non-finite value": f"{path}: line {at[0]}: non-finite value in x or y",
+            "int too large": f"{path}: line {at[0]}: int too large to convert to float",
+            "row beyond nSamples": f"{path}: 40 samples, meta header declares nSamples={at[0] - 2}",
+        }[first]
+        message = _load_message(monkeypatch, path, pools, pooled)
+        assert message.startswith(expected)
+        assert first == "malformed JSON" or message == expected
 
     @pytest.mark.parametrize("pooled", [False, True])
     def test_failed_save_leaves_the_old_file(self, tmp_path, monkeypatch, pools, pooled):
