@@ -1,4 +1,4 @@
-"""Command-line surface: gen-data, train, eval, sweep, report, study.
+"""Command-line surface: gen-data, train, eval, report, study.
 
 All randomness flows from --seed. Flags override values from --config
 (flat `key = value` text); every effective knob is echoed into the run
@@ -24,7 +24,6 @@ from .data import (
     synth_invariant_regression,
 )
 from .lattice import primitive_set
-from .sweep import SweepSpec, check_values, run_sweep, write_sweep_outputs
 from .train import RunReport, TrainConfig, evaluate_params, resolve_loss, train
 
 TASKS = ("pendulum6d", "synth", "synth-cls")
@@ -47,16 +46,16 @@ def _parse_config_file(path):
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise CliError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise CliError(f"{path}: line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
         if key not in _CONFIG_FIELDS:
-            raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise CliError(f"{path}: line {lineno}: unknown config key {key!r}")
         try:
             values[key] = _CONFIG_FIELDS[key](raw)
         except ValueError as exc:
-            raise CliError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+            raise CliError(f"{path}: line {lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
@@ -132,7 +131,7 @@ def _reject_synth_flags(args):
     if args.n not in (None, 6):
         raise CliError(f"pendulum6d is a 6-dimensional task, got --n {args.n}")
     for dest in ("rates", "generator", "gen_bandwidth"):
-        if getattr(args, dest, None) is not None:
+        if getattr(args, dest) is not None:
             flag = "--" + dest.replace("_", "-")
             raise CliError(f"{flag} applies to synth tasks only, not to pendulum6d")
 
@@ -210,42 +209,6 @@ def cmd_eval(args):
     return 0
 
 
-def _parse_values(raw, axis):
-    try:
-        values = [float(v) if axis == "noise" else int(float(v)) for v in raw]
-        check_values(values)
-        return values
-    except (OverflowError, ValueError) as exc:
-        raise CliError(f"bad --values {' '.join(raw)!r}: {exc}") from exc
-
-
-def cmd_sweep(args):
-    _reject_synth_flags(args)
-    base = build_train_config(args)
-    spec = SweepSpec(
-        axis=args.axis,
-        values=_parse_values(args.values, args.axis) if args.values else [],
-        repeats=args.repeats,
-        task=args.task,
-        n=_ambient_dimension(args.n),
-        rates=tuple(_parse_rates(args.rates)) if args.rates else (1, -1),
-        n_samples=args.n_samples,
-        noise_sigma=args.sigma,
-        base=base,
-    )
-    docs, agg = run_sweep(
-        spec,
-        progress=lambda doc: print(
-            f"  run axis={doc['sweep']['value']} rep={doc['sweep']['repeat']}"
-            + (f" FAILED: {doc['failureReason']}" if doc.get("failureReason") else ""),
-            flush=True,
-        ),
-    )
-    paths, agg_path, csv_path = write_sweep_outputs(args.out, docs, agg)
-    print(f"sweep: {len(paths)} runs -> {agg_path} and {csv_path}")
-    return 0
-
-
 def _fmt_mean_std(values):
     vals = [v for v in values if v is not None]
     if not vals:
@@ -297,22 +260,38 @@ def cmd_report(args):
 
 
 def cmd_study(args):
-    names = args.family or list(study.FAMILIES)
-    doc = study.run_study(
-        list(dict.fromkeys(names)),
-        progress=lambda name, row: print(
-            f"  {name} seed={row['seed']} |cos|={row['cos']} reliable={row['reliable']}"
-            + (f" FAILED: {row['failureReason']}" if row["failureReason"] else ""),
-            flush=True,
-        ),
-    )
-    _write_json(args.out, doc, indent=1)  # a table to read and diff
-    for name, fam in doc["families"].items():
+    if args.values is not None and args.axis is None:
+        raise CliError("--values needs --axis")
+    values = ()
+    if args.axis is not None:
+        try:
+            values = study.check_values(args.axis, args.values or ())
+        except ValueError as exc:
+            raise CliError(f"bad --values: {exc}") from exc
+
+    def at(value):
+        return "" if value is None else f" at {args.axis}={value}"
+
+    def progress(value, name, row):
+        failed = f" FAILED: {row['failureReason']}" if row["failureReason"] else ""
         print(
-            f"study: {name} recovered {fam['hits']}/{fam['runs']}, "
-            f"reliable on {fam['reliableOnHits']} hits and {fam['reliableOnMisses']} misses"
+            f"  {name}{at(value)} seed={row['seed']} |cos|={row['cos']} "
+            f"reliable={row['reliable']}{failed}",
+            flush=True,
         )
-    print(f"study: flag precision {doc['flagPrecision']} -> {args.out}")
+
+    names = list(dict.fromkeys(args.family or study.FAMILIES))
+    doc = study.run_study(names, axis=args.axis, values=values, progress=progress)
+    out = args.out or ("BENCH_seedstudy.json" if args.axis is None else f"study-{args.axis}.json")
+    _write_json(out, doc, indent=1)  # a table to read and diff
+    for point in doc.get("points", [doc]):
+        for name, fam in point["families"].items():
+            print(
+                f"study: {name}{at(point.get('value'))} recovered {fam['hits']}/{fam['runs']}, "
+                f"reliable on {fam['reliableOnHits']} hits and {fam['reliableOnMisses']} misses"
+            )
+        print(f"study: flag precision{at(point.get('value'))} {point['flagPrecision']}")
+    print(f"study: wrote {out}")
     return 0
 
 
@@ -353,26 +332,17 @@ def build_parser():
     ev.add_argument("--out", required=True)
     ev.set_defaults(func=cmd_eval)
 
-    sw = sub.add_parser("sweep", help="noise or sample sweep")
-    sw.add_argument("--axis", choices=("noise", "samples"), required=True)
-    sw.add_argument("--values", nargs="*", help="axis values (defaults per axis)")
-    sw.add_argument("--repeats", type=int, default=3)
-    sw.add_argument("--task", choices=("pendulum6d", "synth"), default="synth")
-    sw.add_argument("--n", type=int)
-    sw.add_argument("--rates")
-    sw.add_argument("--n-samples", dest="n_samples", type=int, default=8000)
-    sw.add_argument("--sigma", type=float, default=0.1)
-    sw.add_argument("--out", required=True, help="output directory")
-    _add_train_flags(sw)
-    sw.set_defaults(func=cmd_sweep)
-
     rp = sub.add_parser("report", help="consolidate run reports into a table")
     rp.add_argument("--dir", required=True)
     rp.set_defaults(func=cmd_report)
 
     st = sub.add_parser("study", help="recovery rate and flag precision over many seeds")
     st.add_argument("--family", action="append", choices=list(study.FAMILIES))
-    st.add_argument("--out", default="BENCH_seedstudy.json")
+    st.add_argument("--axis", choices=("noise", "samples"), help="run every family along this axis")
+    st.add_argument("--values", nargs="+", type=float, help="axis values (defaults per axis)")
+    st.add_argument(
+        "--out", help="default BENCH_seedstudy.json, or study-<axis>.json with --axis"
+    )
     st.set_defaults(func=cmd_study)
     return parser
 

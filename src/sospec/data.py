@@ -37,8 +37,8 @@ from .lie import matrix_exp  # noqa: F401 (perfbench/tracing.py wraps it here to
 AUDIT_PAIRS = 64
 AUDIT_TOL = 1e-9
 
-# Bandwidth of a synth target's characters, gen-data's default and every
-# sweep's: at 1, rates like (2, 1) have no resonance and the target is radial.
+# Bandwidth of a synth target's characters unless given, and gen-data's
+# default: at 1, rates like (2, 1) have no resonance and the target is radial.
 DATA_BANDWIDTH = 2
 
 # Spring-coupling strengths of the 6-d pendulum analog.
@@ -486,7 +486,8 @@ def _read_lines(path, x, y):
     line, raising ValueError at the first problem in file order.
 
     Lines end at a line feed; a carriage return before one is whitespace,
-    and lines of ASCII whitespace are skipped. A line beyond the header's
+    and lines of ASCII whitespace are skipped. Every x and y value must be
+    a JSON int or float. A line beyond the header's
     row count is reported as one more sample, however it reads.
     """
     (count, n), out_dim = x.shape, y.shape[1]
@@ -506,9 +507,12 @@ def _read_lines(path, x, y):
                     f"{path}: samples have {len(xs)} inputs and {len(ys)} outputs, "
                     f"meta declares n={n} and out_dim={out_dim} (line {lineno})"
                 )
+            for value in xs + ys:
+                if type(value) not in (int, float):  # a bool is no number
+                    raise ValueError(f"{path}: line {lineno}: sample value {value!r} is not a number")
             try:
                 x[row], y[row] = xs, ys
-            except (TypeError, ValueError, OverflowError) as exc:
+            except OverflowError as exc:  # an int too large for a float
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
             if not all(map(math.isfinite, x[row].tolist() + y[row].tolist())):
                 raise ValueError(f"{path}: line {lineno}: non-finite value in x or y")

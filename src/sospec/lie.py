@@ -175,8 +175,8 @@ def retract_orthogonal(raw):
 def generator_cosine_similarity(x, y):
     """Cosine of the angle between two generators as flattened vectors.
 
-    A zero generator yields 0 by convention (with a warning) so sweep
-    aggregation survives degenerate runs.
+    A zero generator yields 0 by convention (with a warning) so a study's
+    summary survives degenerate runs.
     """
     xm = _as_matrix(x)
     ym = _as_matrix(y)

@@ -1,4 +1,4 @@
-"""The one forked worker pool that training restarts, sweep runs and
+"""The one forked worker pool that training restarts, study runs and
 dataset I/O share.
 
 `worker_count` decides how many processes a job gets, `worker_pool` makes

@@ -394,7 +394,7 @@ def train(dataset, cfg):
     run gives. They run in min(cfg.restarts, usable CPUs) forked workers,
     each held to one BLAS thread, when each restart takes at least
     PARALLEL_MIN_STEPS optimizer steps; they run in-process in a pool
-    worker (a sweep's, say), where pools would nest, and where the platform
+    worker (a study's, say), where pools would nest, and where the platform
     cannot fork or the BLAS thread setting cannot be found.
 
     A restart whose objective goes non-finite is recorded in

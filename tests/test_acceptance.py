@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. The two training criteria and the sweep sanity checks train real
-models and take a few minutes combined.
+lines. The two training criteria and the noise and sample-size checks
+train real models and take a few minutes combined.
 """
 
 import json
@@ -32,8 +32,7 @@ from sospec.lie import (
     matrix_exp,
     skew_from_params,
 )
-from sospec.study import rotated_4d_config, rotated_4d_task
-from sospec.sweep import SweepSpec, run_sweep
+from sospec.study import rotated_4d_config, rotated_4d_task, run_study
 from sospec.train import TrainConfig, train
 
 
@@ -233,32 +232,32 @@ def test_criterion_8_primitive_lattice_oracle():
     report_line(8, "primitive lattice oracle", f"9 grids, {total} members")
 
 
-def test_criterion_9_sweep_sanity():
-    """Noise sweep on the 4-d task: mean |cos| at sigma=0.1 exceeds the
-    sigma=1.0 mean minus 0.05. Sample sweep on the pendulum: mean |cos| at
-    N=32000 within 0.02 of the N=8000 mean or better. 3 seeds per point."""
-    noise_spec = SweepSpec(
-        axis="noise", values=[0.1, 1.0], repeats=3, task="synth", n=4,
-        rates=(1, -1), n_samples=8000, base=rotated_4d_config(0),
-    )
-    _, noise_agg = run_sweep(noise_spec)
-    by_value = {p["value"]: p for p in noise_agg["points"]}
-    assert by_value[0.1]["nRuns"] == 3 and by_value[1.0]["nRuns"] == 3
-    assert by_value[0.1]["meanCos"] > by_value[1.0]["meanCos"] - 0.05
+def _mean_cos(doc, name):
+    """Mean |cos| over the runs of family `name` at each value of the study
+    `doc`'s axis, checking that each value has 3 runs that report one."""
+    means = []
+    for point in doc["points"]:
+        cosines = [row["cos"] for row in point["families"][name]["rows"] if row["cos"] is not None]
+        assert len(cosines) == 3, (point["value"], point["families"][name]["rows"])
+        means.append(float(np.mean(cosines)))
+    return means
 
-    sample_spec = SweepSpec(
-        axis="samples", values=[8000, 32000], repeats=3, task="pendulum6d",
-        noise_sigma=0.1, base=TrainConfig(seed=0, bandwidth=1),
-    )
-    _, sample_agg = run_sweep(sample_spec)
-    by_n = {p["value"]: p for p in sample_agg["points"]}
-    assert by_n[8000]["nRuns"] == 3 and by_n[32000]["nRuns"] == 3
-    assert by_n[32000]["meanCos"] >= by_n[8000]["meanCos"] - 0.02
+
+def test_criterion_9_sweep_sanity():
+    """Noise sweep on the rotated 4-d task: mean |cos| at sigma=0.1 exceeds
+    the sigma=1.0 mean minus 0.05. Sample sweep on the pendulum: mean |cos|
+    at N=32000 within 0.02 of the N=8000 mean or better. 3 seeds per point."""
+    noise = run_study(["rotated4d"], seeds=(1, 2, 3), axis="noise", values=[0.1, 1.0])
+    low_noise, high_noise = _mean_cos(noise, "rotated4d")
+    assert low_noise > high_noise - 0.05
+
+    samples = run_study(["pendulum6d"], seeds=(1, 2, 3), axis="samples", values=[8000, 32000])
+    few, many = _mean_cos(samples, "pendulum6d")
+    assert many >= few - 0.02
     report_line(
         9,
         "sweep sanity",
-        f"noise {by_value[0.1]['meanCos']:.4f} vs {by_value[1.0]['meanCos']:.4f}; "
-        f"samples {by_n[8000]['meanCos']:.4f} -> {by_n[32000]['meanCos']:.4f}",
+        f"noise {low_noise:.4f} vs {high_noise:.4f}; samples {few:.4f} -> {many:.4f}",
     )
 
 

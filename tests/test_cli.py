@@ -11,7 +11,6 @@ import pytest
 import sospec
 import sospec.cli as cli
 import sospec.model as model
-from sospec import sweep
 from sospec.cli import build_parser, main
 from sospec.data import load_dataset
 from sospec.train import TrainConfig
@@ -115,6 +114,18 @@ class TestGenData:
         assert f"error: {found}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rates", ["0,0", "nan,1", "inf,1", "1e308,1e308"])
+    def test_rates_without_a_finite_norm_exit_one(self, tmp_path, capsys, rates):
+        # 1e308,1e308 is finite, but its norm overflows and would scale the
+        # rates to zero
+        out = tmp_path / "out"
+        rc = run_cli("gen-data", "--task", "synth", "--n", "4", "--n-samples", "50",
+                     "--rates", rates, "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"bad --rates '{rates}': need a nonzero vector of finite norm" in err
+        assert not out.exists()
+
 
 class TestTrainEval:
     def test_train_writes_outputs_and_is_deterministic(self, tmp_path, dataset_file):
@@ -194,7 +205,7 @@ class TestTrainEval:
                      "--out", str(tmp_path / "run"))
         assert rc == 1
         key = line.split(" = ")[0]
-        assert f"{cfg}:2: unknown config key {key!r}" in capsys.readouterr().err
+        assert f"{cfg}: line 2: unknown config key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_train_flags_are_the_config_fields(self):
@@ -229,7 +240,7 @@ class TestTrainEval:
                      "--out", str(tmp_path / "run"))
         assert rc == 1
         err = capsys.readouterr().err
-        assert f"{cfg}:2: bad value for epochs" in err and "'4.5'" in err
+        assert f"{cfg}: line 2: bad value for epochs" in err and "'4.5'" in err
 
     def test_missing_dataset_exits_one(self, tmp_path):
         rc = run_cli("train", "--data", str(tmp_path / "nope.jsonl"),
@@ -444,99 +455,30 @@ class TestTrainEval:
         assert doc["config"]["resolvedLoss"] == "logistic"
 
 
-class TestSweepAndReport:
-    def test_sweep_outputs_and_report_table(self, tmp_path):
-        out = tmp_path / "sweep"
-        rc = run_cli("sweep", "--axis", "noise", "--values", "0.1", "0.3",
-                     "--repeats", "1", "--task", "synth", "--n", "4", "--rates", "1,-1",
-                     "--n-samples", "400", "--epochs", "4", "--warmup-epochs", "2",
-                     "--bandwidth", "1", "--seed", "3", "--out", str(out))
-        assert rc == 0
-        agg = json.loads((out / "aggregate.json").read_text())
-        assert [p["value"] for p in agg["points"]] == [0.1, 0.3]
-        csv_lines = (out / "aggregate.csv").read_text().strip().split("\n")
-        assert csv_lines[0] == "axisValue,meanCos,stdCos,meanLoss,stdLoss"
-        assert len(csv_lines) == 3
-        assert len(list(out.glob("run_*.report.json"))) == 2
+class TestReport:
+    def test_report_table_of_two_train_runs(self, tmp_path, dataset_file):
+        runs = tmp_path / "runs"
+        for seed in ("3", "4"):
+            assert run_cli("train", "--data", str(dataset_file), "--epochs", "2",
+                           "--warmup-epochs", "1", "--bandwidth", "1", "--restarts", "1",
+                           "--seed", seed, "--out", str(runs / f"seed{seed}")) == 0
+        assert run_cli("report", "--dir", str(runs)) == 0
+        docs = [json.loads((runs / f"seed{seed}" / "report.json").read_text()) for seed in "34"]
 
-        rc = run_cli("report", "--dir", str(out))
-        assert rc == 0
-        md = (out / "summary.md").read_text()
-        assert "synth" in md and "Cosine" in md
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["tasks"][0]["nRuns"] == 2
+        def mean_std(key):
+            values = [abs(doc[key]) for doc in docs]
+            return f"{np.mean(values):.5f} ± {np.std(values, ddof=1):.5f}"
 
-    def test_sweep_rates_build_the_gen_data_task(self, tmp_path, monkeypatch):
-        # The rates are normalised once, where the task is built: `--rates 1,-1`
-        # gives the default task, and each gives the one gen-data writes at the
-        # same seed. The data bandwidth is gen-data's default whatever the
-        # training bandwidth: at 1, rates (2,1) would have no resonant term.
-        specs = []
-
-        def capture(spec, progress):
-            specs.append(spec)
-            return [], {"points": []}
-
-        monkeypatch.setattr(cli, "run_sweep", capture)
-        for flags in ((), ("--rates", "1,-1"), ("--rates", "2,1")):
-            assert run_cli("sweep", "--axis", "noise", "--values", "0.2", "--repeats", "1",
-                           "--n-samples", "300", "--bandwidth", "1", *flags,
-                           "--out", str(tmp_path / "sweep")) == 0
-        datasets = [sweep._make_dataset(spec, 0.2, 11) for spec in specs]
-        for rates, ds in zip(("1,-1", "1,-1", "2,1"), datasets):
-            path = tmp_path / "ds.jsonl"
-            assert run_cli("gen-data", "--task", "synth", "--n", "4", "--n-samples", "300",
-                           "--sigma", "0.2", "--seed", "11", "--rates", rates,
-                           "--out", str(path)) == 0
-            written = load_dataset(path)
-            assert ds.meta.true_rates.tobytes() == written.meta.true_rates.tobytes()
-            assert ds.x.tobytes() == written.x.tobytes()
-            assert ds.y.tobytes() == written.y.tobytes()
-
-    @pytest.mark.parametrize("command", ["gen-data", "sweep"])
-    @pytest.mark.parametrize("rates", ["0,0", "nan,1", "inf,1", "1e308,1e308"])
-    def test_rates_without_a_finite_norm_exit_one(self, tmp_path, capsys, command, rates):
-        # 1e308,1e308 is finite, but its norm overflows and would scale the
-        # rates to zero
-        out = tmp_path / "out"
-        rc = run_cli(command, *(("--task", "synth", "--n", "4") if command == "gen-data"
-                                else ("--axis", "noise")),
-                     "--n-samples", "50", "--rates", rates, "--out", str(out))
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert f"bad --rates '{rates}': need a nonzero vector of finite norm" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "flags, found",
-        [
-            (("--n", "5"), "ambient dimension must be even, got 5"),
-            (("--n-samples", "-3"), "n_samples must be positive, got -3"),
-            (("--values", "0.1", "abc"), "bad --values '0.1 abc': could not convert"),
-            (("--values", "nan"), "bad --values 'nan': sweep values must be finite and "
-                                  "positive, got nan"),
-            (("--values", "0.1", "0.3", "0.1"), "bad --values '0.1 0.3 0.1': sweep values must "
-                                                "be distinct, got 0.1 twice"),
-            (("--sigma", "nan"), "noise sigma must be finite and nonnegative, got nan"),
-            (("--n", "0"), "ambient dimension must be at least 2, got 0 from --n"),
-            (("--bandwidth", "1000000"), "bandwidth 1000000 is too large for 2 blocks"),
-            (("--task", "pendulum6d", "--bandwidth", "100"),
-             "bandwidth 100 is too large for 3 blocks"),
-            (("--task", "pendulum6d", "--rates", "1,-1,1"),
-             "--rates applies to synth tasks only, not to pendulum6d"),
-            (("--task", "pendulum6d", "--n", "4"), "pendulum6d is a 6-dimensional task, got --n 4"),
-            # the data's box: synth data are built at DATA_BANDWIDTH = 2
-            (("--n", "20", "--rates", "1,1,1,1,1,1,1,1,1,-1", "--bandwidth", "1"),
-             "bandwidth 2 is too large for 10 blocks"),
-        ],
-    )
-    def test_bad_sweep_flag_is_named(self, tmp_path, capsys, flags, found):
-        out = tmp_path / "sweep"
-        rc = run_cli("sweep", "--axis", "noise", "--repeats", "1", "--n-samples", "400",
-                     "--epochs", "4", "--warmup-epochs", "2", *flags, "--out", str(out))
-        assert rc == 1
-        assert f"error: {found}" in capsys.readouterr().err
-        assert not out.exists()
+        summary = json.loads((runs / "summary.json").read_text())
+        assert summary == {"tasks": [{
+            "task": "synth", "nRuns": 2, "testMse": mean_std("testMse"), "accuracy": "n/a",
+            "invarianceError": mean_std("invarianceError"),
+            "cosineSimilarity": mean_std("cosineSimilarity"),
+        }]}
+        md = (runs / "summary.md").read_text().splitlines()
+        assert md[0] == "| Task | Runs | Test MSE | Accuracy | Inv. Error | |Cosine Sim.| |"
+        assert md[2] == (f"| synth | 2 | {mean_std('testMse')} | n/a "
+                         f"| {mean_std('invarianceError')} | {mean_std('cosineSimilarity')} |")
 
     def test_report_on_empty_dir_exits_one(self, tmp_path):
         assert run_cli("report", "--dir", str(tmp_path)) == 1

@@ -281,6 +281,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match="line 5: non-finite"):
             data.load_dataset(path)
 
+    @pytest.mark.parametrize("line, value", [
+        ('{"x": ["1.5", true], "y": [" 2 "]}', "'1.5'"),
+        ('{"x": [1.5, true], "y": [2]}', "True"),
+        ('{"x": [1.5, 1], "y": [" 2 "]}', "' 2 '"),
+    ])
+    def test_value_that_is_not_a_json_number_reports_lineno(self, tmp_path, line, value):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"meta": {"task": "t", "n": 2, "outDim": 1, "nSamples": 2, '
+                        f'"noiseSigma": 0, "seed": 0}}}}\n{{"x": [0.5, 1], "y": [2]}}\n{line}\n')
+        with pytest.raises(ValueError) as err:
+            data.load_dataset(path)
+        assert str(err.value) == f"{path}: line 3: sample value {value} is not a number"
+
     def test_header_dimension_mismatch_names_file(self, tmp_path):
         cf = data.make_random_generator(4, seed=25)
         ds = data.synth_invariant_regression(cf, 8, 0.1, seed=26)
