@@ -38,6 +38,13 @@ def _stub_row(overrides, name, seed, axis=None, value=None):
             "testMse": None, "seconds": 0.0, "failureReason": f"{name} at {axis}={value}"}
 
 
+def _varied_row(overrides, name, seed, axis=None, value=None):
+    """A stand-in for `study.run_row` that trains nothing: a hit on every
+    seed at noise 0.2 and only on seed 1 elsewhere, reliable but on seed 2."""
+    cos = 0.999 if value == 0.2 or seed == 1 else 0.5
+    return _row(seed, cos, reliable=seed != 2)
+
+
 def _without_seconds(doc):
     """`doc` with every `seconds` and `secondsPerRun` dropped, at any depth."""
     if isinstance(doc, dict):
@@ -227,6 +234,42 @@ class TestAxis:
                 None, False, False, None, None)
             assert row["seconds"] >= 0.0
         assert (failed["runs"], failed["hits"], failed["medianCos"]) == (2, 0, None)
+
+    def test_the_same_run_twice_gives_the_same_row(self):
+        first, second = (study.run_row(MINI, "generic4d", 1, "noise", 0.3) for _ in range(2))
+        assert first["failureReason"] is None and first["cos"] is not None
+        assert _without_seconds(first) == _without_seconds(second)
+
+    @pytest.mark.parametrize("axis, value, task_args", [
+        (None, None, (1, 8000, 0.1)),
+        ("noise", 0.4, (1, 8000, 0.4)),
+        ("samples", 3000, (1, 3000, 0.1)),
+    ])
+    def test_an_axis_value_replaces_only_its_own_field(self, monkeypatch, axis, value,
+                                                       task_args):
+        asked = []
+
+        def record_task(seed, n_samples, sigma):
+            asked.append((seed, n_samples, sigma))
+            raise RuntimeError("no data")
+
+        family = study.FAMILIES["generic4d"]
+        monkeypatch.setitem(study.FAMILIES, "generic4d", family._replace(task=record_task))
+        row = study.run_row({}, "generic4d", 1, axis, value)
+        assert asked == [task_args]
+        assert row["failureReason"] == "RuntimeError: no data"
+
+    def test_each_point_follows_from_its_rows(self, monkeypatch):
+        monkeypatch.setattr(study, "run_row", _varied_row)
+        doc = study.run_study(["rotated4d", "generic4d"], seeds=(1, 2, 3), axis="noise",
+                              values=[0.2, 0.6])
+        for point in doc["points"]:
+            for name, fam in point["families"].items():
+                assert study.summarize(study.FAMILIES[name], fam["rows"]) == fam
+            assert study.flag_precision(point["families"]) == point["flagPrecision"]
+        rates = [point["families"]["rotated4d"]["recoveryRate"] for point in doc["points"]]
+        assert rates == [1.0, pytest.approx(1 / 3)]
+        assert [point["flagPrecision"] for point in doc["points"]] == [0.5, 0.25]
 
     def test_pooled_study_equals_in_process(self, monkeypatch):
         args = (["generic4d"], (1, 2), MINI, "noise", [0.1, 0.3])
