@@ -2,7 +2,8 @@
 
 All randomness flows from --seed. Flags override values from --config
 (flat `key = value` text); every effective knob is echoed into the run
-report. Exit codes: 0 success, 1 validation error, 2 runtime failure.
+report. Exit codes: 0 success, 1 validation error or a file that cannot
+be read or written, 2 runtime failure.
 """
 
 import argparse
@@ -96,9 +97,13 @@ def _require_file(path, what):
 
 def _write_json(path, doc, indent=None):
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=indent))
-        fh.write("\n")
+    fields.write(path, [json.dumps(doc, indent=indent), "\n"])
+
+
+def _headline(report):
+    if report.accuracy is not None:
+        return f"acc={report.accuracy:.4f}"
+    return f"mse={report.test_mse:.6f}"
 
 
 def _parse_rates(raw):
@@ -138,6 +143,8 @@ def _reject_synth_flags(args):
 
 def cmd_gen_data(args):
     _reject_synth_flags(args)
+    if args.seed < 0:
+        raise CliError(f"--seed must be nonnegative, got {args.seed}")
     # A synth target is scaled by its standard deviation over the sample,
     # which one sample leaves at zero.
     least = 1 if args.task == "pendulum6d" else 2
@@ -157,6 +164,7 @@ def cmd_gen_data(args):
             synth_invariant_classification if args.task == "synth-cls" else synth_invariant_regression
         )
         ds = maker(cf, args.n_samples, args.sigma, args.seed, bandwidth=bandwidth)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_dataset(ds, args.out)
     print(f"gen-data: wrote {len(ds)} samples of task {ds.meta.task} (n={ds.meta.n}) to {args.out}")
     return 0
@@ -175,11 +183,8 @@ def cmd_train(args):
         print(f"train: FAILED ({report.failure_reason}); diagnostic report at {report_path}")
         return 2
     model.save_checkpoint(params, checkpoint_path, config=report.config)
-    headline = (
-        f"acc={report.accuracy:.4f}" if report.accuracy is not None else f"mse={report.test_mse:.6f}"
-    )
     cos = "n/a" if report.cosine_similarity is None else f"{report.cosine_similarity:+.5f}"
-    print(f"train: {headline} cos={cos} best_epoch={report.best_epoch} -> {report_path}")
+    print(f"train: {_headline(report)} cos={cos} best_epoch={report.best_epoch} -> {report_path}")
     return 0
 
 
@@ -202,10 +207,7 @@ def cmd_eval(args):
     report = RunReport(task=ds.meta.task, seed=cfg.seed, config=saved_cfg)
     evaluate_params(params, ds, cfg, report)
     _write_json(args.out, report.to_json_dict())
-    headline = (
-        f"acc={report.accuracy:.4f}" if report.accuracy is not None else f"mse={report.test_mse:.6f}"
-    )
-    print(f"eval: {headline} -> {args.out}")
+    print(f"eval: {_headline(report)} -> {args.out}")
     return 0
 
 
@@ -224,10 +226,7 @@ def cmd_report(args):
         raise CliError(f"not a directory: {args.dir}")
     rows = {}
     for path in sorted(root.rglob("*report*.json")):
-        try:
-            doc = json.loads(fields.text(path.read_bytes(), path))
-        except json.JSONDecodeError as exc:
-            raise CliError(f"unreadable report {path}: {exc}") from exc
+        doc = fields.load(path.read_bytes(), path)
         where = f"{path}: report"
         if fields.read(doc, "failureReason", str, where, None):
             continue
@@ -253,7 +252,7 @@ def cmd_report(args):
     md = "\n".join(lines) + "\n"
     out_md = root / "summary.md"
     out_json = root / "summary.json"
-    out_md.write_text(md, encoding="utf-8")
+    fields.write(out_md, [md])
     _write_json(out_json, {"tasks": summary})
     print(f"report: {sum(len(v) for v in rows.values())} runs over {len(rows)} tasks -> {out_md}")
     return 0
@@ -352,10 +351,11 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # unexpected: runtime failure
+    except Exception as exc:
+        # an OSError that names no file, such as a fork that fails, is a runtime failure
+        if isinstance(exc, (CliError, ValueError)) or isinstance(exc, OSError) and exc.filename:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

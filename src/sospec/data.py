@@ -21,6 +21,7 @@ in-process one line at a time, and that pass is the only source of the
 loader's error messages.
 """
 
+import itertools
 import json
 import math
 import os
@@ -349,35 +350,17 @@ def save_dataset(ds, path):
     anything is written, since load_dataset would reject the file.
 
     Rows are formatted in chunks of about SAVE_CHUNK_VALUES numbers, one
-    `json.dumps` a row, in a pool of `pool.worker_count(chunks)` workers.
-    The text goes to a temporary file beside the file `path` names
-    (through any links), which replaces that file only once every row is
-    written, so a failure leaves whatever was there as it was. A device
-    or pipe, such as /dev/null, is written in place.
+    `json.dumps` a row, in a pool of `pool.worker_count(chunks)` workers,
+    and streamed to `path` through `fields.write`.
     """
     if not (np.isfinite(ds.x).all() and np.isfinite(ds.y).all()):
         raise ValueError(f"{path}: non-finite value in x or y")
     rows, step = len(ds), max(1, SAVE_CHUNK_VALUES // (ds.meta.n + ds.meta.out_dim))
     tasks = [(start, min(start + step, rows)) for start in range(0, rows, step)]
     workers = pool.worker_count(len(tasks))
-    in_place = os.path.exists(path) and not os.path.isfile(path)
-    target = os.path.realpath(path)
-    tmp = path if in_place else f"{target}.{os.getpid()}.tmp"
-    try:
-        fh = open(tmp, "w" if in_place else "x", encoding="utf-8")
-    except OSError as exc:  # name the file the caller asked for
-        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc
-    try:
-        with fh, closing(pool.run_in_order(_format_rows, ds, tasks, workers)) as chunks:
-            fh.write(json.dumps({"meta": ds.meta.to_json_dict()}) + "\n")
-            for text in chunks:
-                fh.write(text)
-        if not in_place:
-            os.replace(tmp, target)
-    except BaseException:
-        if not in_place:
-            os.unlink(tmp)
-        raise
+    header = json.dumps({"meta": ds.meta.to_json_dict()}) + "\n"
+    with closing(pool.run_in_order(_format_rows, ds, tasks, workers)) as chunks:
+        fields.write(path, itertools.chain([header], chunks))
 
 
 def _row_template(n, out_dim):
@@ -410,11 +393,11 @@ def load_dataset(path):
     ValueError naming the file and the line of the first problem.
     """
     with open(path, "rb") as fh:
-        header = fields.text(fh.readline(), path)
+        header = fh.readline()
         if not header:
             raise ValueError(f"{path}: empty dataset file")
         meta = DatasetMeta.from_json_dict(
-            fields.read(_parse_line(path, 1, header), "meta", dict, f"{path}: line 1: header"),
+            fields.read(fields.load(header, path, 1), "meta", dict, f"{path}: line 1: header"),
             f"{path}: line 1: meta header",
         )
         n, out_dim, count = meta.n, meta.out_dim, meta.n_samples
@@ -500,7 +483,7 @@ def _read_lines(path, x, y):
             if row == count:
                 rows = count + 1 + sum(not rest.isspace() for rest in fh)
                 raise ValueError(f"{path}: {rows} samples, meta header declares nSamples={count}")
-            obj = _parse_line(path, lineno, fields.text(raw.removesuffix(b"\n"), path, lineno))
+            obj = fields.load(raw.removesuffix(b"\n"), path, lineno)
             xs, ys = (fields.read(obj, key, list, f"{path}: line {lineno}: sample") for key in "xy")
             if len(xs) != n or len(ys) != out_dim:
                 raise ValueError(
@@ -519,10 +502,3 @@ def _read_lines(path, x, y):
             row += 1
     if row != count:
         raise ValueError(f"{path}: {row} samples, meta header declares nSamples={count}")
-
-
-def _parse_line(path, lineno, line):
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc

@@ -1,14 +1,17 @@
-"""The one reader of the fields of an input document.
+"""The one reader and writer of every document.
 
-Datasets, checkpoints, their training configurations and run reports read
-every field through `read`, which decides what a valid field is. A field
-that is not raises ValueError("<where> <key> is not <kind>"), where `where`
-names the file, the document and the key path above `key`; the CLI turns
-that into exit code 1. The same documents, and config files, decode their
-bytes through `text`, which names the file and the line of bytes that are
-not UTF-8.
+Every output file (dataset, checkpoint, report, study, summary) is written
+by `write`. Datasets, checkpoints and run reports are parsed by `load` and
+read every field through `read`, which decides what a valid field is. A
+field that is not raises ValueError("<where> <key> is not <kind>"), where
+`where` names the file, the document and the key path above `key`; the CLI
+turns that into exit code 1. The same documents, and config files, decode
+their bytes through `text`, which names the file and the line of bytes
+that are not UTF-8.
 """
 
+import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -44,6 +47,45 @@ def text(raw, path, lineno=1):
         column = exc.start - raw.rfind(b"\n", 0, exc.start)
         message = f"line {lineno}: byte {column} is not UTF-8 ({exc.reason})"
         raise ValueError(f"{path}: {message}") from exc
+
+
+def load(raw, path, lineno=None):
+    """The JSON document in `raw`, the bytes of `path` from the start of line
+    `lineno` if given, decoded by `text`; invalid JSON raises ValueError
+    naming the file and the line."""
+    doc = text(raw, path, lineno or 1)
+    try:
+        return json.loads(doc)
+    except json.JSONDecodeError as exc:
+        at = "" if lineno is None else f"line {lineno}: "
+        raise ValueError(f"{path}: {at}invalid JSON ({exc})") from exc
+
+
+def write(path, pieces):
+    """Write the strings `pieces` to `path` as UTF-8 text, creating no
+    directory. They go to a temporary file beside the file `path` names
+    (through any links), which replaces that file once every piece is
+    written, so a failure leaves the old bytes and no temporary file. A
+    device or pipe, such as /dev/null, is written in place, and a directory
+    raises IsADirectoryError: OSErrors of opening name `path`.
+    """
+    in_place = os.path.exists(path) and not os.path.isfile(path)  # a directory then fails to open
+    target = os.path.realpath(path)
+    tmp = path if in_place else f"{target}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "w" if in_place else "x", encoding="utf-8")
+    except OSError as exc:  # name the file the caller asked for
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc
+    try:
+        with fh:
+            for piece in pieces:
+                fh.write(piece)
+        if not in_place:
+            os.replace(tmp, target)
+    except BaseException:
+        if not in_place:
+            os.unlink(tmp)
+        raise
 
 
 def read(doc, key, kind, where, default=REQUIRED):

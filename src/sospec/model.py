@@ -406,9 +406,7 @@ def save_checkpoint(params, path, config=None):
         "reflected": False,
         "config": config or {},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))
-        fh.write("\n")
+    fields.write(path, [json.dumps(doc), "\n"])
 
 
 def load_checkpoint(path):
@@ -419,11 +417,7 @@ def load_checkpoint(path):
     rows of primitive_set(bandwidth, n/2) raise ValueError naming the
     file."""
     with open(path, "rb") as fh:
-        text = fields.text(fh.read(), path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+        doc = fields.load(fh.read(), path)
     where = f"{path}: checkpoint"
     values = dict(
         n=fields.read(doc, "n", int, where),

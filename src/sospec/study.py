@@ -142,7 +142,7 @@ def run_row(overrides, name, seed, axis=None, value=None):
         "seed": seed,
         "cos": cos,
         "hit": cos is not None and cos > HIT_COS,
-        "reliable": bool(report.rates_reliable),
+        "reliable": bool(report.lambda_reliable),
         "nullity": report.nullity,
         "testMse": report.test_mse,
         "seconds": report.wall_clock,

@@ -10,7 +10,7 @@ on ties).
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -70,6 +70,8 @@ class TrainConfig:
             raise ValueError("warmup_epochs must not exceed epochs")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     def echo(self):
         return asdict(self)
@@ -86,13 +88,13 @@ class RunReport:
     cosine_similarity: float | None = None
     cosine_similarity_spectral: float | None = None
     estimator_agreement: float | None = None
-    recovered_rates: list | None = None
-    spectral_rates: list | None = None
+    recovered_lambda: list | None = None
+    spectral_lambda: list | None = None
     nullity: int | None = None
-    rates_reliable: bool | None = None
-    surviving: list = field(default_factory=list)
+    lambda_reliable: bool | None = None
+    surviving_frequencies: list = field(default_factory=list)
     loss_curve: list = field(default_factory=list)
-    val_curve: list = field(default_factory=list)
+    val_loss_curve: list = field(default_factory=list)
     penalty_curve: list = field(default_factory=list)
     mu_curve: list = field(default_factory=list)
     best_epoch: int | None = None
@@ -103,32 +105,14 @@ class RunReport:
     failure_reason: str | None = None
 
     def to_json_dict(self):
-        return {
-            "task": self.task,
-            "seed": self.seed,
-            "config": self.config,
-            "testMse": self.test_mse,
-            "accuracy": self.accuracy,
-            "invarianceError": self.invariance_error,
-            "cosineSimilarity": self.cosine_similarity,
-            "cosineSimilaritySpectral": self.cosine_similarity_spectral,
-            "estimatorAgreement": self.estimator_agreement,
-            "recoveredLambda": self.recovered_rates,
-            "spectralLambda": self.spectral_rates,
-            "nullity": self.nullity,
-            "lambdaReliable": self.rates_reliable,
-            "survivingFrequencies": self.surviving,
-            "lossCurve": self.loss_curve,
-            "valLossCurve": self.val_curve,
-            "penaltyCurve": self.penalty_curve,
-            "muCurve": self.mu_curve,
-            "bestEpoch": self.best_epoch,
-            "chosenRestart": self.chosen_restart,
-            "restartValLosses": self.restart_val_losses,
-            "restartFailures": self.restart_failures,
-            "wallClock": self.wall_clock,
-            "failureReason": self.failure_reason,
-        }
+        """The report document: each field under its name in camelCase, in
+        field order."""
+        return {_camel(f.name): getattr(self, f.name) for f in fields(self)}
+
+
+def _camel(name):
+    head, *words = name.split("_")
+    return head + "".join(word.title() for word in words)
 
 
 def mu_schedule(epoch, cfg):
@@ -247,11 +231,11 @@ def evaluate_params(params, ds, cfg, report):
 
     disc = discover(params)
     report.estimator_agreement = disc.agreement
-    report.recovered_rates = disc.rates_learned.tolist()
-    report.spectral_rates = disc.rates_spectral.tolist()
+    report.recovered_lambda = disc.rates_learned.tolist()
+    report.spectral_lambda = disc.rates_spectral.tolist()
     report.nullity = disc.nullity
-    report.rates_reliable = disc.reliable
-    report.surviving = disc.surviving.astype(int).tolist()
+    report.lambda_reliable = disc.reliable
+    report.surviving_frequencies = disc.surviving.astype(int).tolist()
 
     true_gen = ds.meta.true_generator
     if true_gen is not None:
@@ -433,7 +417,7 @@ def train(dataset, cfg):
     report.best_epoch = best_epoch
     report.loss_curve = curves["loss"]
     report.penalty_curve = curves["penalty"]
-    report.val_curve = curves["val"]
+    report.val_loss_curve = curves["val"]
     report.mu_curve = curves["mu"]
     evaluate_params(best_params, dataset, cfg, report)
     report.wall_clock = time.perf_counter() - start

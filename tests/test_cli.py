@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -59,6 +60,23 @@ class TestGenData:
             assert run_cli("gen-data", "--task", "synth", "--n", n, "--out", out) == 1
             err = capsys.readouterr().err
             assert f"error: ambient dimension must be {rule}, got {n} from --n" in err
+
+    def test_out_in_a_new_directory(self, tmp_path):
+        out = tmp_path / "new" / "d.jsonl"
+        rc = run_cli("gen-data", "--task", "pendulum6d", "--n-samples", "20", "--out", str(out))
+        assert rc == 0 and len(load_dataset(out)) == 20
+
+    @pytest.mark.parametrize("task", ["synth", "pendulum6d"])
+    def test_negative_seed_exits_one_before_any_draw(self, tmp_path, capsys, monkeypatch, task):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a task was drawn")
+
+        monkeypatch.setattr(cli, "synth_generator", no_draw)
+        monkeypatch.setattr(cli, "double_pendulum_task", no_draw)
+        out = tmp_path / "x.jsonl"
+        assert run_cli("gen-data", "--task", task, "--seed", "-3", "--out", str(out)) == 1
+        assert "error: --seed must be nonnegative, got -3" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("task", ["synth", "pendulum6d"])
     def test_nonfinite_sigma_exits_one(self, tmp_path, capsys, task):
@@ -224,6 +242,15 @@ class TestTrainEval:
         assert rc == 1
         assert ("error: a dataset of 9 rows leaves its train, validation or test split empty"
                 in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_seed_exits_one_before_the_load(self, tmp_path, dataset_file, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(cli, "load_dataset", None)  # no load may start
+        rc = run_cli("train", "--data", str(dataset_file), "--seed", "-1",
+                     "--out", str(tmp_path / "run"))
+        assert rc == 1
+        assert "error: invalid configuration: seed must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, dataset_file):
@@ -480,8 +507,57 @@ class TestReport:
         assert md[2] == (f"| synth | 2 | {mean_std('testMse')} | n/a "
                          f"| {mean_std('invarianceError')} | {mean_std('cosineSimilarity')} |")
 
+    def test_report_of_invalid_json_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "run" / "report.json"
+        bad.parent.mkdir()
+        bad.write_text('{"task": }\n')
+        assert run_cli("report", "--dir", str(tmp_path)) == 1
+        assert f"error: {bad}: invalid JSON (Expecting value: line 1" in capsys.readouterr().err
+
     def test_report_on_empty_dir_exits_one(self, tmp_path):
         assert run_cli("report", "--dir", str(tmp_path)) == 1
+
+
+_QUICK_TRAIN = ("--epochs", "2", "--warmup-epochs", "1", "--bandwidth", "1", "--restarts", "1")
+
+
+@pytest.mark.parametrize("case", [
+    "gen-data --out DIR", "train --out FILE", "eval --out DIR", "eval --out FILE/x.json",
+    "report --dir D, D/summary.md a directory",
+])
+def test_output_that_cannot_be_written_exits_one_naming_it(tmp_path, dataset_file, capsys, case):
+    run, folder, file = tmp_path / "run", tmp_path / "folder", tmp_path / "file"
+    folder.mkdir()
+    file.write_text("a file\n")
+    if not case.startswith(("gen-data", "train")):
+        assert run_cli("train", "--data", str(dataset_file), *_QUICK_TRAIN, "--out", str(run)) == 0
+    evaluate = ["eval", "--checkpoint", run / "checkpoint.json", "--data", dataset_file, "--out"]
+    argv, named = {
+        "gen-data --out DIR": (["gen-data", "--task", "pendulum6d", "--n-samples", "20", "--out",
+                                folder], folder),
+        "train --out FILE": (["train", "--data", dataset_file, *_QUICK_TRAIN, "--out", file], file),
+        "eval --out DIR": ([*evaluate, folder], folder),
+        "eval --out FILE/x.json": ([*evaluate, file / "x.json"], file),
+        "report --dir D, D/summary.md a directory": (["report", "--dir", run], run / "summary.md"),
+    }[case]
+    if case.startswith("report"):
+        named.mkdir()
+    capsys.readouterr()
+    assert run_cli(*map(str, argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.rstrip().endswith(f"'{named}'")
+    assert file.read_text() == "a file\n" and not any(folder.iterdir())
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_oserror_of_no_file_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
+    def no_fork(*args):
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(cli, "save_dataset", no_fork)
+    out = tmp_path / "x.jsonl"
+    assert run_cli("gen-data", "--task", "pendulum6d", "--n-samples", "20", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("runtime failure: BlockingIOError: ")
 
 
 def _not_utf8(path, lineno, column):

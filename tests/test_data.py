@@ -1,3 +1,4 @@
+import errno
 import itertools
 import json
 import os
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 import sospec.data as data
+import sospec.fields as fields
+import sospec.model as model
 import sospec.pool as pool_mod
 from oracles import rational_nullspace, traced_peak
 from sospec.lattice import estimate_lambda, primitive_set, resonant_subset
@@ -632,32 +635,82 @@ class TestChunkedIO:
         assert os.listdir(tmp_path) == ["ds.jsonl"]
         _assert_pools(pools, 1 if pooled else 0)
 
-    def test_save_through_a_link_replaces_its_target(self, tmp_path):
-        ds = data.double_pendulum_task(20, 0.1, seed=37)
-        (tmp_path / "real.jsonl").write_text("the old file\n")
-        (tmp_path / "link.jsonl").symlink_to("real.jsonl")
-        data.save_dataset(ds, tmp_path / "link.jsonl")
-        assert (tmp_path / "link.jsonl").is_symlink()
-        assert (tmp_path / "real.jsonl").read_bytes() == _oracle_bytes(ds)
-        assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "real.jsonl"]
 
-    def test_save_to_a_pipe_writes_in_place(self, tmp_path):
-        ds = data.double_pendulum_task(20, 0.1, seed=38)
+def _save_dataset(path):
+    """Save a small dataset to `path`; the bytes it should write."""
+    ds = data.double_pendulum_task(20, 0.1, seed=37)
+    data.save_dataset(ds, path)
+    return _oracle_bytes(ds)
+
+
+def _save_checkpoint(path):
+    """Save a small checkpoint to `path`; the bytes it should write, one
+    json.dumps of the layout README "Checkpoints" gives."""
+    params, config = model.init_params(4, 1, hidden=8, seed=38), {"seed": 38}
+    model.save_checkpoint(params, path, config=config)
+    layers = [{"weight": w.tolist(), "bias": b.tolist()} for w, b in params.layers]
+    doc = {"n": 4, "bandwidth": 1, "frequencies": primitive_set(1, 2).astype(int).tolist(),
+           "skewParams": params.skew.tolist(), "lambda": params.rates.tolist(), "layers": layers,
+           "lossKind": "squared-error", "reflected": False, "config": config}
+    return (json.dumps(doc) + "\n").encode()
+
+
+@pytest.mark.parametrize("save", [_save_dataset, _save_checkpoint], ids=lambda f: f.__name__[1:])
+class TestOutputFiles:
+    """Every writer goes through fields.write: a temporary file renamed over
+    the target, or the target itself when it is a pipe or device."""
+
+    def test_save_through_a_link_replaces_its_target(self, tmp_path, save):
+        (tmp_path / "real.json").write_text("the old file\n")
+        (tmp_path / "link.json").symlink_to("real.json")
+        expected = save(tmp_path / "link.json")
+        assert (tmp_path / "link.json").is_symlink()
+        assert (tmp_path / "real.json").read_bytes() == expected
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "real.json"]
+
+    def test_save_to_a_pipe_writes_in_place(self, tmp_path, save):
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
         reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # the file fits the pipe's buffer
         try:
-            data.save_dataset(ds, fifo)
-            assert os.read(reader, 1 << 16) == _oracle_bytes(ds)
+            expected = save(fifo)
+            assert os.read(reader, 1 << 16) == expected
         finally:
             os.close(reader)
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
-    def test_save_into_a_missing_directory_names_the_path(self, tmp_path):
-        path = tmp_path / "missing" / "ds.jsonl"
+    def test_save_into_a_missing_directory_names_the_path(self, tmp_path, save):
+        path = tmp_path / "missing" / "out.json"
         with pytest.raises(FileNotFoundError) as err:
-            data.save_dataset(data.double_pendulum_task(20, 0.1, seed=39), path)
+            save(path)
         assert err.value.filename == str(path)
+        assert os.listdir(tmp_path) == []
+
+    def test_save_to_a_directory_names_the_path(self, tmp_path, save):
+        path = tmp_path / "folder"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as err:
+            save(path)
+        assert err.value.filename == str(path)
+        assert os.listdir(tmp_path) == ["folder"] and os.listdir(path) == []
+
+    def test_failed_write_leaves_the_old_bytes(self, tmp_path, monkeypatch, save):
+        write = fields.write
+
+        def full_disk(path, pieces):
+            def first_then_fail():
+                yield next(iter(pieces))
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            write(path, first_then_fail())
+
+        monkeypatch.setattr(fields, "write", full_disk)
+        path = tmp_path / "out.json"
+        path.write_text("the old file\n")
+        with pytest.raises(OSError, match="No space left"):
+            save(path)
+        assert path.read_text() == "the old file\n"
+        assert os.listdir(tmp_path) == ["out.json"]
 
 
 class TestClassification:

@@ -1,4 +1,4 @@
-"""The field reader, and every input document read through it.
+"""The document layer, and every input document read through it.
 
 The mutation test puts a value of each wrong JSON kind at every key path
 of a valid dataset header, checkpoint and run report (and the first
@@ -6,6 +6,7 @@ element of each list), and requires `sospec eval` or `sospec report` to
 exit 1 naming the file.
 """
 
+import ast
 import copy
 import dataclasses
 import json
@@ -59,6 +60,56 @@ class TestRead:
 
 
 # -- every input document ---------------------------------------------------
+
+
+
+class TestLoad:
+    def test_a_document(self):
+        assert fields.load(b'{"a": [1, 2.5]}\n', "f.json") == {"a": [1, 2.5]}
+
+    @pytest.mark.parametrize("lineno, prefix", [(None, "f.json: invalid JSON ("),
+                                                (7, "f.json: line 7: invalid JSON (")])
+    def test_invalid_json_names_the_file_and_line(self, lineno, prefix):
+        with pytest.raises(ValueError) as err:
+            fields.load(b'{"a": }', "f.json", lineno)
+        assert str(err.value).startswith(prefix + "Expecting value: line 1 column 7")
+        assert not isinstance(err.value, json.JSONDecodeError)
+
+    def test_bytes_that_are_not_utf8_name_the_line(self):
+        with pytest.raises(ValueError, match=r"^f.json: line 8: byte 2 is not UTF-8"):
+            fields.load(b'{\n"\xff": 1}', "f.json", 7)
+
+
+def _writes_a_file(call):
+    """Whether the call `call` opens a file for writing (any `open` without
+    a constant read-only mode, and every `os.open`) or calls write_text or
+    write_bytes."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+        return True
+    at = 0 if isinstance(func, ast.Attribute) else 1  # Path.open(mode), open(file, mode)
+    modes = [k.value for k in call.keywords if k.arg == "mode"]
+    mode = call.args[at] if len(call.args) > at else (modes or [ast.Constant("r")])[0]
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wxa+"))
+
+
+def test_only_fields_writes_files_and_names_invalid_json():
+    found = []
+    for module in sorted(Path(fields.__file__).parent.glob("*.py")):
+        if module.name == "fields.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and _writes_a_file(node):
+                found.append(f"{module.name}:{node.lineno} writes a file")
+            if isinstance(node, ast.Attribute) and node.attr == "JSONDecodeError":
+                found.append(f"{module.name}:{node.lineno} handles JSONDecodeError")
+    assert not found
 
 
 def _write_inputs(folder):

@@ -75,7 +75,7 @@ class TestStudy:
         _, report = train(family.task(2), dataclasses.replace(family.config(2), **MINI))
         row = doc["families"]["rotated4d"]["rows"][1]
         assert row["cos"] == abs(report.cosine_similarity)
-        assert row["reliable"] == report.rates_reliable
+        assert row["reliable"] == report.lambda_reliable
         assert row["nullity"] == report.nullity
         assert row["testMse"] == report.test_mse
         assert row["failureReason"] is None
@@ -298,7 +298,7 @@ class TestStudyPool:
             # the row carries the restart workers as nullity, a pool worker as reliable
             workers = train_mod._restart_workers(big, TrainConfig())
             report = RunReport(ds.meta.task, cfg.seed, {}, nullity=workers,
-                               rates_reliable=os.getpid() != parent, wall_clock=0.0)
+                               lambda_reliable=os.getpid() != parent, wall_clock=0.0)
             return None, report
 
         monkeypatch.setattr(study, "train", record_workers)

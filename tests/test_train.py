@@ -114,7 +114,7 @@ class TestTrainBehavior:
         ds = synth_invariant_regression(cf, 800, 0.1, seed=5, bandwidth=1)
         params, report = train(ds, micro_config())
         assert abs(np.linalg.norm(params.rates) - 1.0) <= 1e-12
-        assert abs(np.linalg.norm(report.recovered_rates) - 1.0) <= 1e-9
+        assert abs(np.linalg.norm(report.recovered_lambda) - 1.0) <= 1e-9
 
     def test_deterministic_reports(self):
         cf = CanonicalForm(np.eye(4), np.array([1.0, -1.0]) / np.sqrt(2.0))
