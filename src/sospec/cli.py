@@ -25,7 +25,7 @@ from .data import (
     synth_invariant_regression,
 )
 from .lattice import primitive_set
-from .train import RunReport, TrainConfig, evaluate_params, resolve_loss, train
+from .train import RunReport, TrainConfig, check_trainable, evaluate_params, resolve_loss, train
 
 TASKS = ("pendulum6d", "synth", "synth-cls")
 
@@ -41,7 +41,7 @@ class CliError(Exception):
 
 def _parse_config_file(path):
     values = {}
-    text = fields.text(Path(_require_file(path, "config file")).read_bytes(), path)
+    text = fields.text(Path(path).read_bytes(), path)
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -84,15 +84,6 @@ def _add_train_flags(sub):
     sub.add_argument("--bandwidth", type=int)
     sub.add_argument("--seed", type=int)
     sub.add_argument("--restarts", type=int)
-
-
-def _require_file(path, what):
-    p = Path(path)
-    if p.is_dir():
-        raise CliError(f"{what} is a directory, not a file: {path}")
-    if not p.exists():
-        raise CliError(f"{what} not found: {path}")
-    return path
 
 
 def _write_json(path, doc, indent=None):
@@ -143,8 +134,7 @@ def _reject_synth_flags(args):
 
 def cmd_gen_data(args):
     _reject_synth_flags(args)
-    if args.seed < 0:
-        raise CliError(f"--seed must be nonnegative, got {args.seed}")
+    fields.check(args.seed, int, "--seed")  # as train reads the file's header back
     # A synth target is scaled by its standard deviation over the sample,
     # which one sample leaves at zero.
     least = 1 if args.task == "pendulum6d" else 2
@@ -172,10 +162,13 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     cfg = build_train_config(args)
-    ds = load_dataset(_require_file(args.data, "dataset"))
-    params, report = train(ds, cfg)
+    ds = load_dataset(args.data)
+    # a run rejected here leaves no directory, and an --out that cannot be
+    # made costs no training
+    check_trainable(ds, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    params, report = train(ds, cfg)
     checkpoint_path = out_dir / "checkpoint.json"
     report_path = out_dir / "report.json"
     _write_json(report_path, report.to_json_dict())
@@ -189,8 +182,8 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    params, saved_cfg = model.load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-    ds = load_dataset(_require_file(args.data, "dataset"))
+    params, saved_cfg = model.load_checkpoint(args.checkpoint)
+    ds = load_dataset(args.data)
     # Ignores resolvedLoss and the settings older checkpoints carry that are now fixed.
     where = f"{args.checkpoint}: checkpoint config"
     cfg = TrainConfig(**{k: fields.read(saved_cfg, k, t, where) for k, t in _CONFIG_FIELDS.items()})

@@ -5,9 +5,12 @@ by `write`. Datasets, checkpoints and run reports are parsed by `load` and
 read every field through `read`, which decides what a valid field is. A
 field that is not raises ValueError("<where> <key> is not <kind>"), where
 `where` names the file, the document and the key path above `key`; the CLI
-turns that into exit code 1. The same documents, and config files, decode
-their bytes through `text`, which names the file and the line of bytes
-that are not UTF-8.
+turns that into exit code 1. `read` holds a plain kind to the rule in
+`check`, which also checks values before they are written to be read
+back: a training configuration, and the seed `gen-data` writes into a
+dataset's header. The same documents, and config files, decode their
+bytes through `text`, which names the file and the line of bytes that are
+not UTF-8.
 """
 
 import json
@@ -19,7 +22,7 @@ import numpy as np
 
 REQUIRED = object()
 _WHAT = {
-    int: "a nonnegative integer",
+    int: "a nonnegative integer below 2^63",
     float: "a finite number",
     bool: "true or false",
     str: "a string",
@@ -122,6 +125,14 @@ def read(doc, key, kind, where, default=REQUIRED):
         if type(value) is str and value in kind:
             return value
         raise ValueError(f"{where} {key} is not one of {', '.join(map(repr, kind))}")
+    return check(value, kind, f"{where} {key}")
+
+
+def check(value, kind, what):
+    """`value` if it is of the plain `kind` `read` takes (`int`, `float`,
+    `bool`, `str`, `dict` or `list`), else ValueError("<what> is not
+    <kind>"). This is the rule for every value that is written to be read
+    back, such as a checkpoint's config."""
     if kind is int:
         ok = type(value) is int and 0 <= value < 2**63
     elif kind is float:  # NaN fails every comparison
@@ -129,5 +140,5 @@ def read(doc, key, kind, where, default=REQUIRED):
     else:
         ok = type(value) is kind
     if not ok:
-        raise ValueError(f"{where} {key} is not {_WHAT[kind]}")
+        raise ValueError(f"{what} is not {_WHAT[kind]}")
     return value

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import kernels, metrics, model, pool
 from .autodiff import Tape
+from .fields import check
 from .lattice import estimate_lambda, primitive_set, surviving_frequencies
 from .lie import CanonicalForm, assemble_generator, generator_cosine_similarity
 
@@ -59,19 +60,16 @@ class TrainConfig:
     restarts: int = 2
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "warmup_epochs", "bandwidth"):
+        # each field of the kind a checkpoint's config is read back as
+        for f in fields(self):
+            check(getattr(self, f.name), f.type, f.name)
+        for name in ("epochs", "batch_size", "warmup_epochs", "bandwidth", "restarts"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.mu_init < 0:  # zero switches the penalty off (plain regression)
             raise ValueError("mu_init must be nonnegative")
-        if not math.isfinite(self.mu_init):
-            raise ValueError(f"mu_init must be finite, got {self.mu_init!r}")
         if self.warmup_epochs > self.epochs:
             raise ValueError("warmup_epochs must not exceed epochs")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
 
     def echo(self):
         return asdict(self)
@@ -248,10 +246,6 @@ def evaluate_params(params, ds, cfg, report):
         report.cosine_similarity_spectral = generator_cosine_similarity(disc.spectral, true_gen)
 
 
-class _RestartFailure(Exception):
-    pass
-
-
 def _rate_candidate(r, restart):
     """Rate direction a restart starts from.
 
@@ -275,7 +269,9 @@ def _train_single(dataset, cfg, restart):
     both orientation classes). Each restart starts its rates at
     `_rate_candidate`'s direction, and validation selection arbitrates
     between restarts.
-    Raises _RestartFailure on a non-finite objective.
+
+    Returns (best params, best validation loss, best epoch, curves), or
+    on a non-finite objective the message that names where it happened.
     """
     rng_init = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SALT_INIT, restart]))
     rng_batch = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SALT_BATCH, restart]))
@@ -293,7 +289,7 @@ def _train_single(dataset, cfg, restart):
 
     adam = Adam(model.pack(params))
 
-    curves = {"loss": [], "penalty": [], "val": [], "mu": []}
+    curves = {"loss": [], "penalty": [], "val": []}
     best_val = math.inf
     best_params = params.copy()
     best_epoch = -1
@@ -312,7 +308,7 @@ def _train_single(dataset, cfg, restart):
                 tape, params, x_epoch[lo:hi], y_epoch[lo:hi], mu
             )
             if not np.isfinite(objective.value):
-                raise _RestartFailure(
+                return (
                     f"non-finite objective at restart {restart} epoch {epoch} "
                     f"(loss={float(pred_loss.value)!r})"
                 )
@@ -330,7 +326,6 @@ def _train_single(dataset, cfg, restart):
         curves["loss"].append(float(np.mean(epoch_losses)))
         curves["penalty"].append(float(np.mean(epoch_penalties)))
         curves["val"].append(val_loss)
-        curves["mu"].append(mu)
         if val_loss < best_val:
             best_val = val_loss
             best_params = params.copy()
@@ -350,18 +345,16 @@ def _restart_workers(dataset, cfg):
     return 1 if steps < PARALLEL_MIN_STEPS else pool.worker_count(cfg.restarts)
 
 
-def _train_restart(dataset, cfg, restart):
-    """`_train_single`'s result tuple, or the _RestartFailure it raised."""
-    try:
-        return _train_single(dataset, cfg, restart)
-    except _RestartFailure as failure:
-        return failure
-
-
-def _run_restarts(dataset, cfg, workers):
-    """Every restart's result tuple or _RestartFailure, in restart order."""
-    tasks = [(cfg, r) for r in range(cfg.restarts)]
-    return list(pool.run_in_order(_train_restart, dataset, tasks, workers))
+def check_trainable(dataset, cfg):
+    """Raise ValueError if `cfg` cannot train on `dataset`: its bandwidth's
+    primitive_set is too large to build, or the dataset is too small to
+    give every split a row."""
+    primitive_set(cfg.bandwidth, dataset.meta.n // 2)
+    if not all(part.size for part in split_indices(len(dataset), cfg.seed)):
+        raise ValueError(
+            f"a dataset of {len(dataset)} rows leaves its train, validation or test "
+            "split empty; training needs at least 10 rows"
+        )
 
 
 def train(dataset, cfg):
@@ -383,16 +376,11 @@ def train(dataset, cfg):
 
     A restart whose objective goes non-finite is recorded in
     restartFailures and left out of the choice; if every restart fails the
-    result is (None, report) with failure_reason set. A dataset too small
-    to give every split a row, or a bandwidth whose primitive_set is too
-    large to build, raises ValueError before any restart starts.
+    result is (None, report) with failure_reason set and no curves. Inputs
+    that `check_trainable` rejects raise ValueError before any restart
+    starts.
     """
-    primitive_set(cfg.bandwidth, dataset.meta.n // 2)
-    if not all(part.size for part in split_indices(len(dataset), cfg.seed)):
-        raise ValueError(
-            f"a dataset of {len(dataset)} rows leaves its train, validation or test "
-            "split empty; training needs at least 10 rows"
-        )
+    check_trainable(dataset, cfg)
     start = time.perf_counter()
     workers = _restart_workers(dataset, cfg)
     report = RunReport(
@@ -401,8 +389,9 @@ def train(dataset, cfg):
         config={**cfg.echo(), "resolvedLoss": resolve_loss(dataset.meta)},
     )
 
-    outcomes = _run_restarts(dataset, cfg, workers)
-    failures = [str(o) if isinstance(o, _RestartFailure) else None for o in outcomes]
+    tasks = [(cfg, r) for r in range(cfg.restarts)]
+    outcomes = list(pool.run_in_order(_train_single, dataset, tasks, workers))
+    failures = [o if isinstance(o, str) else None for o in outcomes]
     report.restart_failures = failures
     report.restart_val_losses = [None if f else o[1] for o, f in zip(outcomes, failures)]
     survivors = [i for i, f in enumerate(failures) if f is None]
@@ -418,7 +407,7 @@ def train(dataset, cfg):
     report.loss_curve = curves["loss"]
     report.penalty_curve = curves["penalty"]
     report.val_loss_curve = curves["val"]
-    report.mu_curve = curves["mu"]
+    report.mu_curve = [mu_schedule(e, cfg) for e in range(cfg.epochs)]
     evaluate_params(best_params, dataset, cfg, report)
     report.wall_clock = time.perf_counter() - start
     return best_params, report

@@ -75,8 +75,15 @@ class TestGenData:
         monkeypatch.setattr(cli, "double_pendulum_task", no_draw)
         out = tmp_path / "x.jsonl"
         assert run_cli("gen-data", "--task", task, "--seed", "-3", "--out", str(out)) == 1
-        assert "error: --seed must be nonnegative, got -3" in capsys.readouterr().err
+        assert "error: --seed is not a nonnegative integer below 2^63" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_seed_of_2_to_the_63_exits_one_writing_nothing(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        assert run_cli("gen-data", "--task", "pendulum6d", "--n-samples", "20",
+                       "--seed", str(2**63), "--out", str(out)) == 1
+        assert "error: --seed is not a nonnegative integer below 2^63" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("task", ["synth", "pendulum6d"])
     def test_nonfinite_sigma_exits_one(self, tmp_path, capsys, task):
@@ -250,8 +257,34 @@ class TestTrainEval:
         rc = run_cli("train", "--data", str(dataset_file), "--seed", "-1",
                      "--out", str(tmp_path / "run"))
         assert rc == 1
-        assert "error: invalid configuration: seed must be nonnegative" in capsys.readouterr().err
+        assert ("error: invalid configuration: seed is not a nonnegative integer below 2^63"
+                in capsys.readouterr().err)
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag, key", [("--seed", "seed"), ("--batch-size", "batch_size")])
+    def test_integer_a_checkpoint_cannot_hold_exits_one_before_the_load(
+            self, tmp_path, dataset_file, capsys, monkeypatch, flag, key):
+        # eval reads every config integer back only below 2^63
+        monkeypatch.setattr(cli, "load_dataset", None)  # no load may start
+        rc = run_cli("train", "--data", str(dataset_file), flag, str(2**63),
+                     "--out", str(tmp_path / "run"))
+        assert rc == 1
+        assert (f"error: invalid configuration: {key} is not a nonnegative integer below 2^63"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
+    def test_out_that_is_a_file_exits_one_before_training(self, tmp_path, dataset_file, capsys,
+                                                          monkeypatch):
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        out = tmp_path / "file"
+        out.write_text("a file\n")
+        rc = run_cli("train", "--data", str(dataset_file), "--out", str(out))
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{out}'\n"
+        assert out.read_text() == "a file\n"
 
     def test_unknown_config_key_rejected(self, tmp_path, dataset_file):
         cfg = tmp_path / "bad.cfg"
@@ -280,18 +313,22 @@ class TestTrainEval:
     )
     def test_directory_given_as_file_exits_one(self, tmp_path, dataset_file, capsys, command,
                                                flag):
+        # and so does a missing file, with the system's message naming it
         folder = tmp_path / "folder"
         folder.mkdir()
         checkpoint = tmp_path / "ckpt.json"
         model.save_checkpoint(model.init_params(4, 1), checkpoint, config={"seed": 0})
-        inputs = {"--data": dataset_file}
-        if command == "eval":
-            inputs = {"--checkpoint": checkpoint, **inputs}
-        inputs[flag] = folder
-        argv = [a for pair in inputs.items() for a in pair]
-        rc = run_cli(command, *map(str, argv), "--out", str(tmp_path / "out"))
-        assert rc == 1
-        assert f"is a directory, not a file: {folder}" in capsys.readouterr().err
+        for path, message in ((folder, "[Errno 21] Is a directory"),
+                              (tmp_path / "missing", "[Errno 2] No such file or directory")):
+            inputs = {"--data": dataset_file}
+            if command == "eval":
+                inputs = {"--checkpoint": checkpoint, **inputs}
+            inputs[flag] = path
+            argv = [a for pair in inputs.items() for a in pair]
+            rc = run_cli(command, *map(str, argv), "--out", str(tmp_path / "out"))
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: {message}: '{path}'\n"
+            assert not (tmp_path / "out").exists()
 
     def test_outputs_match_the_json_dump_encoding(self, tmp_path, dataset_file):
         rc = run_cli("train", "--data", str(dataset_file), "--epochs", "2",
@@ -409,7 +446,7 @@ class TestTrainEval:
         rc = run_cli("train", "--data", str(dataset_file), "--mu", "nan",
                      "--out", str(tmp_path / "run"))
         assert rc == 1
-        assert "invalid configuration: mu_init must be finite, got nan" in capsys.readouterr().err
+        assert "invalid configuration: mu_init is not a finite number" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_bandwidth_too_large_exits_one_before_training(self, tmp_path, dataset_file, capsys):

@@ -53,7 +53,15 @@ class TestMuSchedule:
     @pytest.mark.parametrize("name", ["mu_init"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_config_rejects_nonfinite_values(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite, got {value!r}"):
+        with pytest.raises(ValueError, match=f"^{name} is not a finite number$"):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", 3.0), ("restarts", True), ("seed", -1), ("seed", 2**63), ("batch_size", 2**63),
+    ])
+    def test_config_holds_what_a_checkpoint_reads_back(self, name, value):
+        # a nonnegative integer below 2^63, and a bool is none
+        with pytest.raises(ValueError, match=f"^{name} is not a nonnegative integer below 2"):
             TrainConfig(**{name: value})
 
 
@@ -163,6 +171,18 @@ class TestTrainBehavior:
         params, report = train(ds, micro_config(seed=1, epochs=3, warmup_epochs=1))
         assert all(v >= 0.0 for v in report.penalty_curve)
 
+    def test_mu_curve_is_the_schedule(self):
+        cfg = micro_config(restarts=1)
+        _, report = train(_restart_dataset(600, seed=16), cfg)
+        assert report.mu_curve == [mu_schedule(e, cfg) for e in range(cfg.epochs)]
+        assert report.to_json_dict()["muCurve"] == report.mu_curve
+
+    def test_mu_curve_is_empty_when_every_restart_fails(self, monkeypatch):
+        monkeypatch.setattr(train_mod, "_train_single", lambda dataset, cfg, restart: "diverged")
+        params, report = train(_restart_dataset(600, seed=16), micro_config())
+        assert params is None and report.restart_failures == ["diverged", "diverged"]
+        assert report.mu_curve == [] and report.to_json_dict()["muCurve"] == []
+
     def test_config_echo_completeness(self):
         cf = CanonicalForm(np.eye(4), np.array([1.0, -1.0]) / np.sqrt(2.0))
         ds = synth_invariant_regression(cf, 600, 0.1, seed=8, bandwidth=1)
@@ -254,7 +274,7 @@ class TestParallelRestarts:
 
         def restart_one_diverges(dataset, cfg, restart):
             if restart == 1:
-                raise train_mod._RestartFailure("non-finite objective at restart 1")
+                return "non-finite objective at restart 1"
             return real_single(dataset, cfg, restart)
 
         monkeypatch.setattr(train_mod, "_train_single", restart_one_diverges)
