@@ -142,6 +142,7 @@ def cmd_gen_data(args):
         raise CliError(
             f"--n-samples must be at least {least} for task {args.task}, got {args.n_samples}"
         )
+    fields.check(args.n_samples, int, f"--n-samples {args.n_samples}")  # as train reads nSamples
     if args.task == "pendulum6d":
         ds = double_pendulum_task(args.n_samples, args.sigma, args.seed)
     else:

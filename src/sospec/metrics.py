@@ -6,12 +6,6 @@ from . import model
 from .lie import matrix_exp
 
 
-def _predict_fn(predictor):
-    if callable(predictor):
-        return predictor
-    return lambda x: model.predict(predictor, x)
-
-
 def test_mse(params, x, y):
     """Mean squared error over samples and output dimensions."""
     x = np.asarray(x, dtype=np.float64)
@@ -32,19 +26,19 @@ def accuracy(params, x, y):
     return float(np.mean((logits > 0.0).astype(np.float64) == y))
 
 
-def invariance_error(predictor, xs, true_generator, t_samples):
+def invariance_error(predict, xs, true_generator, t_samples):
     """Monte-Carlo estimate of E_{x,t} |f(x) - f(exp(t B) x)|^2.
 
-    `predictor` is either trained parameters or any callable mapping a batch
-    to outputs. Deterministic given xs and t_samples.
+    `predict` maps a batch of inputs to outputs; for trained parameters it
+    is `partial(model.predict, params)`. Deterministic given xs and
+    t_samples.
     """
-    fn = _predict_fn(predictor)
     xs = np.asarray(xs, dtype=np.float64)
     t_samples = np.asarray(t_samples, dtype=np.float64)
-    base = np.asarray(fn(xs), dtype=np.float64).reshape(xs.shape[0], -1)
+    base = np.asarray(predict(xs), dtype=np.float64).reshape(xs.shape[0], -1)
     total = 0.0
     for t in t_samples:
         rot = matrix_exp(true_generator, float(t))
-        moved = np.asarray(fn(xs @ rot.T), dtype=np.float64).reshape(xs.shape[0], -1)
+        moved = np.asarray(predict(xs @ rot.T), dtype=np.float64).reshape(xs.shape[0], -1)
         total += float(np.mean(np.sum((base - moved) ** 2, axis=1)))
     return total / t_samples.size

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import pool
+from . import fields, pool
 from .data import double_pendulum_task, make_random_generator, synth_invariant_regression
 from .lie import CanonicalForm, retract_orthogonal
 from .train import RunReport, TrainConfig, train
@@ -106,16 +106,19 @@ def check_values(axis, values):
     defaults when it is empty, as noise sigmas (floats) or row counts
     (ints). Raises ValueError on an axis other than noise or samples, and
     names the first value that is not finite and positive, that is a row
-    count with a fraction, or that repeats an earlier one: the runs at one
-    value are summarized together."""
+    count with a fraction or one no dataset header holds (2^63 or more), or
+    that repeats an earlier one: the runs at one value are summarized
+    together."""
     if axis not in ("noise", "samples"):
         raise ValueError(f"axis must be noise or samples, got {axis!r}")
     values = list(values) or (NOISE_VALUES if axis == "noise" else SAMPLE_VALUES)
     for i, value in enumerate(values):
         if not 0 < value < math.inf:  # NaN fails every comparison
             raise ValueError(f"{axis} values must be finite and positive, got {value!r}")
-        if axis == "samples" and value != int(value):
-            raise ValueError(f"samples values must be whole row counts, got {value!r}")
+        if axis == "samples":
+            if value != int(value):
+                raise ValueError(f"samples values must be whole row counts, got {value!r}")
+            fields.check(int(value), int, f"samples value {value!r}")  # as a header's nSamples
         if value in values[:i]:
             raise ValueError(f"{axis} values must be distinct, got {value!r} twice")
     return [float(v) if axis == "noise" else int(v) for v in values]

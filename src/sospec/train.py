@@ -11,6 +11,7 @@ on ties).
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -70,9 +71,6 @@ class TrainConfig:
             raise ValueError("mu_init must be nonnegative")
         if self.warmup_epochs > self.epochs:
             raise ValueError("warmup_epochs must not exceed epochs")
-
-    def echo(self):
-        return asdict(self)
 
 
 @dataclass
@@ -169,53 +167,20 @@ def resolve_loss(meta):
     return "logistic" if meta.output_kind == "binary" else "squared-error"
 
 
-@dataclass
-class DiscoveryResult:
-    direct: object
-    spectral: object
-    rates_learned: np.ndarray
-    rates_spectral: np.ndarray
-    nullity: int
-    reliable: bool
-    surviving: np.ndarray
-    agreement: float
-
-
-def discover(params):
-    """Reconstruct the generator from trained parameters, two ways.
-
-    Direct: assemble from the learned alignment and rates.
-    Spectral: re-estimate the rates from the surviving first-layer
-    frequencies and assemble in the same frame. The spectral estimate is
-    reliable only when the surviving frequencies pin a one-dimensional
-    nullspace.
-    """
-    cf = params.canonical_form()
-    direct = assemble_generator(cf)
-    coeffs = model.coefficient_norms(params)
-    surviving = surviving_frequencies(params.freq, coeffs, REL_THRESHOLD)
-    rates_hat, nullity = estimate_lambda(surviving, params.r)
-    spectral = assemble_generator(CanonicalForm(cf.q, rates_hat))
-    agreement = generator_cosine_similarity(direct, spectral)
-    return DiscoveryResult(
-        direct=direct,
-        spectral=spectral,
-        rates_learned=cf.rates.copy(),
-        rates_spectral=rates_hat,
-        nullity=nullity,
-        reliable=nullity == 1,
-        surviving=surviving,
-        agreement=agreement,
-    )
-
-
 def _forward_loss(params, x, y):
     return float(model.loss_stage(model.predict(params, x), y, params.loss_kind)[0])
 
 
 def evaluate_params(params, ds, cfg, report):
-    """Fill `report` with held-out metrics and generator recovery for
-    trained parameters.
+    """Fill `report` with held-out metrics and the generator read off
+    trained parameters, two ways.
+
+    Direct: assembled from the learned alignment and rates. Spectral: the
+    rates `estimate_lambda` re-estimates from the first-layer frequencies
+    that survive REL_THRESHOLD, assembled in the same frame; the flag
+    lambdaReliable holds when those frequencies pin a one-dimensional
+    nullspace. Given the dataset's true generator, also the invariance
+    error on test rows and each generator's cosine with it.
 
     Shared by the trainer and standalone checkpoint evaluation so the two
     produce identical numbers for identical inputs.
@@ -227,13 +192,16 @@ def evaluate_params(params, ds, cfg, report):
     else:
         report.accuracy = metrics.accuracy(params, x_test, y_test)
 
-    disc = discover(params)
-    report.estimator_agreement = disc.agreement
-    report.recovered_lambda = disc.rates_learned.tolist()
-    report.spectral_lambda = disc.rates_spectral.tolist()
-    report.nullity = disc.nullity
-    report.lambda_reliable = disc.reliable
-    report.surviving_frequencies = disc.surviving.astype(int).tolist()
+    cf = params.canonical_form()
+    direct = assemble_generator(cf)
+    surviving = surviving_frequencies(params.freq, model.coefficient_norms(params), REL_THRESHOLD)
+    rates_hat, report.nullity = estimate_lambda(surviving, params.r)
+    spectral = assemble_generator(CanonicalForm(cf.q, rates_hat))
+    report.surviving_frequencies = surviving.astype(int).tolist()
+    report.recovered_lambda = cf.rates.tolist()
+    report.spectral_lambda = rates_hat.tolist()
+    report.lambda_reliable = report.nullity == 1
+    report.estimator_agreement = generator_cosine_similarity(direct, spectral)
 
     true_gen = ds.meta.true_generator
     if true_gen is not None:
@@ -241,9 +209,10 @@ def evaluate_params(params, ds, cfg, report):
         take = min(INV_X_SAMPLES, x_test.shape[0])
         xs = x_test[rng.choice(x_test.shape[0], size=take, replace=False)]
         ts = rng.uniform(-T_MAX, T_MAX, size=INV_T_SAMPLES)
-        report.invariance_error = metrics.invariance_error(params, xs, true_gen, ts)
-        report.cosine_similarity = generator_cosine_similarity(disc.direct, true_gen)
-        report.cosine_similarity_spectral = generator_cosine_similarity(disc.spectral, true_gen)
+        predict = partial(model.predict, params)
+        report.invariance_error = metrics.invariance_error(predict, xs, true_gen, ts)
+        report.cosine_similarity = generator_cosine_similarity(direct, true_gen)
+        report.cosine_similarity_spectral = generator_cosine_similarity(spectral, true_gen)
 
 
 def _rate_candidate(r, restart):
@@ -386,7 +355,7 @@ def train(dataset, cfg):
     report = RunReport(
         task=dataset.meta.task,
         seed=cfg.seed,
-        config={**cfg.echo(), "resolvedLoss": resolve_loss(dataset.meta)},
+        config={**asdict(cfg), "resolvedLoss": resolve_loss(dataset.meta)},
     )
 
     tasks = [(cfg, r) for r in range(cfg.restarts)]

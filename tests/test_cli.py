@@ -109,6 +109,19 @@ class TestGenData:
         assert f"got {n_samples}" in err and "Warning" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("task", ["pendulum6d", "synth"])
+    def test_row_count_no_header_holds_exits_one_naming_the_flag(self, tmp_path, capsys,
+                                                                  monkeypatch, task):
+        draws = []
+        for maker in ("double_pendulum_task", "synth_generator"):
+            monkeypatch.setattr(cli, maker, lambda *args, **kw: draws.append(args))
+        out = tmp_path / "x.jsonl"
+        rc = run_cli("gen-data", "--task", task, "--n-samples", str(2**63), "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --n-samples {2**63} is not a nonnegative integer below 2^63\n"
+        assert draws == [] and not out.exists()
+
     @pytest.mark.parametrize("flags, found", [
         (("--rates", "1,-1"), "--rates applies to synth tasks only"),
         (("--generator", "generic"), "--generator applies to synth tasks only"),
@@ -178,9 +191,11 @@ class TestTrainEval:
         train_doc = json.loads((tmp_path / "run" / "report.json").read_text())
         eval_doc = json.loads((tmp_path / "eval.json").read_text())
         assert train_doc.keys() == eval_doc.keys()
+        # the dataset has a true generator, so every read-out key is set
         for key in ("testMse", "invarianceError", "cosineSimilarity",
-                    "cosineSimilaritySpectral", "recoveredLambda", "spectralLambda",
-                    "nullity", "survivingFrequencies"):
+                    "cosineSimilaritySpectral", "estimatorAgreement", "recoveredLambda",
+                    "spectralLambda", "nullity", "lambdaReliable", "survivingFrequencies"):
+            assert train_doc[key] is not None, key
             assert train_doc[key] == eval_doc[key], key
 
     def test_config_file_and_flag_override(self, tmp_path, dataset_file):

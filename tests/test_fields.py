@@ -119,7 +119,7 @@ def _write_inputs(folder):
     dataset = folder / "ds.jsonl"
     data.save_dataset(data.synth_invariant_regression(cf, 40, 0.1, seed=3), dataset)
     checkpoint = folder / "ckpt.json"
-    config = {**TrainConfig(bandwidth=1).echo(), "resolvedLoss": "squared-error"}
+    config = {**dataclasses.asdict(TrainConfig(bandwidth=1)), "resolvedLoss": "squared-error"}
     model.save_checkpoint(model.init_params(4, 1, hidden=8, seed=0), checkpoint, config=config)
     return dataset, checkpoint
 

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -60,7 +62,7 @@ class TestInvarianceError:
     def test_zero_time_grid(self):
         params = constant_model(2, 0.3)
         xs = np.random.default_rng(4).normal(size=(16, 2))
-        assert invariance_error(params, xs, J2, np.array([0.0])) == 0.0
+        assert invariance_error(partial(model.predict, params), xs, J2, np.array([0.0])) == 0.0
 
     def test_accepts_trained_params(self):
         params = constant_model(4, 1.0)
@@ -68,7 +70,7 @@ class TestInvarianceError:
         gen[:2, :2] = J2
         gen[2:, 2:] = -J2
         xs = np.random.default_rng(5).normal(size=(8, 4))
-        assert invariance_error(params, xs, gen, np.array([0.7])) == 0.0
+        assert invariance_error(partial(model.predict, params), xs, gen, np.array([0.7])) == 0.0
 
 
 class TestAccuracy:

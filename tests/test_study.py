@@ -113,13 +113,18 @@ class TestStudy:
             # a count with a fraction is an error, not rounded down to a count
             (("--axis", "samples", "--values", "8000.5"),
              "bad --values: samples values must be whole row counts, got 8000.5"),
+            # a row count no dataset header can hold
+            (("--axis", "samples", "--values", "8000", "1e19"),
+             "bad --values: samples value 1e+19 is not a nonnegative integer below 2^63"),
         ],
     )
-    def test_bad_flag_exits_one_naming_it(self, tmp_path, capsys, flags, found):
+    def test_bad_flag_exits_one_naming_it(self, tmp_path, capsys, monkeypatch, flags, found):
+        studies = []
+        monkeypatch.setattr(study, "run_study", lambda *args, **kw: studies.append(args))
         out = tmp_path / "study.json"
         assert cli_main(["study", "--family", "generic4d", *flags, "--out", str(out)]) == 1
         assert f"error: {found}" in capsys.readouterr().err
-        assert not out.exists()
+        assert studies == [] and not out.exists()
 
     @pytest.mark.parametrize("values, expected", [
         ((), study.SAMPLE_VALUES),

@@ -1,6 +1,7 @@
 import gc
 import os
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ import pytest
 import sospec.model as model
 import sospec.pool as pool_mod
 from sospec.data import Dataset, DatasetMeta, synth_invariant_regression
-from sospec.lie import CanonicalForm, assemble_generator, generator_cosine_similarity
+from sospec.lie import CanonicalForm
 import sospec.train as train_mod
-from sospec.train import TrainConfig, discover, mu_schedule, split_indices, train
+from sospec.train import RunReport, TrainConfig, evaluate_params, mu_schedule, split_indices, train
 
 
 def micro_config(**kw):
@@ -188,7 +189,7 @@ class TestTrainBehavior:
         ds = synth_invariant_regression(cf, 600, 0.1, seed=8, bandwidth=1)
         cfg = micro_config()
         _, report = train(ds, cfg)
-        for knob in cfg.echo():
+        for knob in asdict(cfg):
             assert knob in report.config
 
 
@@ -383,11 +384,15 @@ class TestStepLifetime:
         assert all(dead for _, dead in checks), checks
 
 
-class TestDiscover:
+class TestEvaluateParams:
+    """The generator read off trained parameters, through the report."""
+
+    RATES = np.array([1.0, -1.0]) / np.sqrt(2.0)
+
     def _true_frame_params(self):
         params = model.init_params(4, 1, seed=40)
         params.skew[:] = 0.0
-        params.rates = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        params.rates = self.RATES.copy()
         w1 = params.layers[0][0]
         w1[:] = 0.0
         idx = params.freq.tolist().index([1, 1])
@@ -395,14 +400,20 @@ class TestDiscover:
         w1[params.num_freqs + idx, 1] = -0.5
         return params
 
+    def _evaluate(self, params):
+        cf = CanonicalForm(np.eye(4), self.RATES)
+        ds = synth_invariant_regression(cf, 200, 0.1, seed=40, bandwidth=1)
+        cfg = micro_config()
+        report = RunReport(task=ds.meta.task, seed=cfg.seed, config={})
+        evaluate_params(params, ds, cfg, report)
+        return report
+
     def test_true_frame_resonant_weights(self):
-        params = self._true_frame_params()
-        truth = assemble_generator(CanonicalForm(np.eye(4), params.rates))
-        disc = discover(params)
-        assert generator_cosine_similarity(disc.direct, truth) == pytest.approx(1.0, abs=1e-12)
-        assert generator_cosine_similarity(disc.spectral, truth) == pytest.approx(1.0, abs=1e-9)
-        assert disc.agreement == pytest.approx(1.0, abs=1e-9)
-        assert disc.nullity == 1 and disc.reliable
+        report = self._evaluate(self._true_frame_params())
+        assert report.cosine_similarity == pytest.approx(1.0, abs=1e-12)
+        assert report.cosine_similarity_spectral == pytest.approx(1.0, abs=1e-9)
+        assert report.estimator_agreement == pytest.approx(1.0, abs=1e-9)
+        assert report.nullity == 1 and report.lambda_reliable is True
 
     def test_full_rank_surviving_flagged(self):
         params = self._true_frame_params()
@@ -412,15 +423,11 @@ class TestDiscover:
         w1[:] = 0.0
         w1[idx01, 0] = 1.0
         w1[idx10, 0] = 1.0
-        disc = discover(params)
-        assert disc.nullity == 0
-        assert not disc.reliable
+        report = self._evaluate(params)
+        assert report.nullity == 0
+        assert report.lambda_reliable is False
 
     def test_spectral_estimate_from_single_ray(self):
-        params = self._true_frame_params()
-        disc = discover(params)
-        expected = assemble_generator(
-            CanonicalForm(np.eye(4), np.array([1.0, -1.0]) / np.sqrt(2.0))
-        )
-        assert np.allclose(disc.spectral.entries, expected.entries, atol=1e-12)
-        assert disc.surviving.tolist() == [[1, 1]]
+        report = self._evaluate(self._true_frame_params())
+        assert np.allclose(report.spectral_lambda, self.RATES, atol=1e-12)
+        assert report.surviving_frequencies == [[1, 1]]
