@@ -8,7 +8,7 @@ Values are float64 numpy arrays (scalars are 0-d). Leaves come from
 function that returns (value, vjp), where vjp maps the output's adjoint to
 one adjoint per input. There are no arithmetic ops. The model records its
 whole training objective as one entry (model.build_objective), so a step's
-tape holds one entry over the parameter leaves.
+tape holds one entry over one leaf, the flat parameter vector.
 
 Values hold no reference to their tape, so a finished tape and every array
 its stages keep are freed as soon as the caller drops it. Graphs are

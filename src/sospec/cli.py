@@ -143,12 +143,16 @@ def cmd_gen_data(args):
             f"--n-samples must be at least {least} for task {args.task}, got {args.n_samples}"
         )
     fields.check(args.n_samples, int, f"--n-samples {args.n_samples}")  # as train reads nSamples
+    if not 0 <= args.sigma < np.inf:  # NaN fails every comparison
+        raise CliError(f"--sigma must be finite and nonnegative, got {args.sigma}")
     if args.task == "pendulum6d":
         ds = double_pendulum_task(args.n_samples, args.sigma, args.seed)
     else:
         n = _ambient_dimension(args.n)
         rates = None if args.rates is None else _parse_rates(args.rates)
         bandwidth = DATA_BANDWIDTH if args.gen_bandwidth is None else args.gen_bandwidth
+        if bandwidth < 1:
+            raise CliError(f"--gen-bandwidth must be at least 1, got {bandwidth}")
         primitive_set(bandwidth, n // 2)  # rejects a box too large before the frame is drawn
         cf = synth_generator(n, args.seed, rates, args.generator or "mixed")
         maker = (

@@ -261,6 +261,8 @@ def synth_invariant_regression(cf, n_samples, noise_sigma, seed, bandwidth=DATA_
     radial part, which is invariant under every block rotation.
     """
     check_noise_sigma(noise_sigma)
+    if n_samples < 2:  # the target is scaled by its standard deviation over the sample
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     rng = np.random.default_rng(seed)
     raw_target = _resonant_character_target(cf, bandwidth, rng)
     generator = assemble_generator(cf)

@@ -16,8 +16,8 @@ is not orthogonal to the rates.
 The pipeline is a fixed chain of closed-form stages: align, features, one
 dense stage per layer, the loss and the penalty. Each is a plain function
 returning (value, vjp). `build_objective` records the whole objective, the
-loss plus mu times the penalty, as one tape entry that runs the stages
-forward and their vjps in reverse; `predict` calls the same stage
+loss plus mu times the penalty, as one tape entry over GeneratorParams.flat,
+the vector every learned array is a view of; `predict` calls the same stage
 functions and drops the vjp.
 """
 
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields, kernels, lie
-from .autodiff import Var
 from .lattice import primitive_set, reflect_last_block
 
 
@@ -40,6 +39,8 @@ class GeneratorParams:
     cos/sin pair per row of `freq`, the primitive frequencies of
     `bandwidth` on n/2 blocks in lexicographic order. `freq` is derived
     from (bandwidth, n) on each use, a cached lookup, and never stored.
+    Construction copies the learned arrays into one float64 vector, `flat`,
+    in leaf_arrays order, and makes them views of it.
     """
 
     n: int
@@ -70,6 +71,16 @@ class GeneratorParams:
             if w.ndim != 2 or w.shape[0] != width or b.shape != (w.shape[1],):
                 raise ValueError(f"layer shapes do not chain: {w.shape} after {width}")
             width = w.shape[1]
+        arrays = list(leaf_arrays(self).values())
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        views = _views(self.flat, arrays)
+        self.skew, self.rates = views[0], views[1]
+        self.layers = list(zip(views[2::2], views[3::2]))
+
+    def __reduce__(self):
+        # A copy or an unpickled worker result builds its own flat.
+        args = self.n, self.bandwidth, self.skew, self.rates, self.layers, self.loss_kind
+        return GeneratorParams, args
 
     @property
     def r(self):
@@ -92,14 +103,7 @@ class GeneratorParams:
         return self.layers[-1][0].shape[1]
 
     def copy(self):
-        return GeneratorParams(
-            n=self.n,
-            bandwidth=self.bandwidth,
-            skew=self.skew.copy(),
-            rates=self.rates.copy(),
-            layers=[(w.copy(), b.copy()) for w, b in self.layers],
-            loss_kind=self.loss_kind,
-        )
+        return GeneratorParams(*self.__reduce__()[1])
 
     def canonical_form(self):
         """The learned generator's canonical form (exp(A), rates)."""
@@ -285,24 +289,12 @@ def penalty_stage(w0, rates, freq):
 
 
 def leaf_arrays(params):
-    """The learned arrays by leaf name, in the order that build_objective's
-    leaves and pack's flat buffer share."""
+    """The learned arrays by leaf name, in the order they lie in params.flat."""
     arrays = {"skew": params.skew, "rates": params.rates}
     for i, (w, b) in enumerate(params.layers):
         arrays[f"w{i}"] = w
         arrays[f"b{i}"] = b
     return arrays
-
-
-def pack(params):
-    """Move every learned array into one flat float64 buffer, in leaf order,
-    and rebind the params' arrays as views of it; returns the buffer."""
-    arrays = list(leaf_arrays(params).values())
-    flat = np.concatenate([a.ravel() for a in arrays])
-    views = _views(flat, arrays)
-    params.skew, params.rates = views[0], views[1]
-    params.layers = list(zip(views[2::2], views[3::2]))
-    return flat
 
 
 def _views(flat, arrays):
@@ -315,51 +307,45 @@ def _views(flat, arrays):
 
 
 def build_objective(tape, params, x, y, mu):
-    """Prediction loss plus mu times the resonance penalty, as one tape entry.
+    """Prediction loss plus mu times the resonance penalty, as one tape entry
+    over one leaf, params.flat.
 
-    The entry's forward runs the stages in order. Its VJP calls their VJPs
-    in reverse, sums the first-layer weight's two adjoints, and writes every
-    leaf's gradient into one flat array in leaf_arrays order, which is also
-    pack's order. Returns (objective, prediction loss, penalty, leaves),
-    where leaves maps each leaf name to its parameter Var; after
-    tape.backward(objective) the leaves' grads are views of that flat array.
+    Runs the stages in order on the params' arrays. The entry's VJP calls
+    their VJPs in reverse, sums the first-layer weight's two adjoints, and
+    writes every array's gradient into one flat array in leaf_arrays order.
+    Returns (objective, prediction loss, penalty, leaf), the two terms as
+    floats; tape.backward(objective) sets leaf.grad.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     mu = float(mu)
     freq = params.freq
-    leaves = {name: tape.param(a) for name, a in leaf_arrays(params).items()}
-    terms = []
+    arrays = list(leaf_arrays(params).values())
+    h, align_vjp = align_stage(params.skew, x)
+    h, features_vjp = features_stage(h, freq)
+    dense_vjps = []
+    last = len(params.layers) - 1
+    for i, (w, b) in enumerate(params.layers):
+        h, vjp = dense_stage(h, w, b, i != last)
+        dense_vjps.append(vjp)
+    pred_loss, loss_vjp = loss_stage(h, y, params.loss_kind)
+    penalty, penalty_vjp = penalty_stage(params.layers[0][0], params.rates, freq)
 
-    def objective_entry(*arrays):
-        skew, rates, layers = arrays[0], arrays[1], arrays[2:]
-        h, align_vjp = align_stage(skew, x)
-        h, features_vjp = features_stage(h, freq)
-        dense_vjps = []
-        last = len(layers) // 2 - 1
-        for i in range(last + 1):
-            h, vjp = dense_stage(h, layers[2 * i], layers[2 * i + 1], i != last)
-            dense_vjps.append(vjp)
-        pred_loss, loss_vjp = loss_stage(h, y, params.loss_kind)
-        penalty, penalty_vjp = penalty_stage(layers[0], rates, freq)
-        terms.extend((pred_loss, penalty))
+    def vjp(g):
+        flat = np.empty(sum(a.size for a in arrays))
+        grads = _views(flat, arrays)
+        d_w0, grads[1][...] = penalty_vjp(g * mu)
+        (d_h,) = loss_vjp(g)
+        for i in range(last, -1, -1):
+            d_h, grads[2 + 2 * i][...], grads[3 + 2 * i][...] = dense_vjps[i](d_h)
+        grads[2] += d_w0
+        (d_h,) = features_vjp(d_h)
+        (grads[0][...],) = align_vjp(d_h)
+        return (flat,)
 
-        def vjp(g):
-            grads = _views(np.empty(sum(a.size for a in arrays)), arrays)
-            d_w0, grads[1][...] = penalty_vjp(g * mu)
-            (d_h,) = loss_vjp(g)
-            for i in range(last, -1, -1):
-                d_h, grads[2 + 2 * i][...], grads[3 + 2 * i][...] = dense_vjps[i](d_h)
-            grads[2] += d_w0
-            (d_h,) = features_vjp(d_h)
-            (grads[0][...],) = align_vjp(d_h)
-            return grads
-
-        return pred_loss + penalty * mu, vjp
-
-    objective = tape.record(objective_entry, tuple(leaves.values()))
-    pred_loss, penalty = terms
-    return objective, Var(pred_loss), Var(penalty), leaves
+    leaf = tape.param(params.flat)
+    objective = tape.record(lambda _: (pred_loss + penalty * mu, vjp), (leaf,))
+    return objective, float(pred_loss), float(penalty), leaf
 
 
 def predict(params, x):
@@ -387,11 +373,6 @@ def coefficient_norms(params):
     f = params.num_freqs
     sq = np.sum(w1 * w1, axis=1)
     return np.sqrt(sq[:f] + sq[f : 2 * f])
-
-
-def resonance_penalty(params):
-    """Plain value of the penalty term of build_objective."""
-    return float(penalty_stage(params.layers[0][0], params.rates, params.freq)[0])
 
 
 def save_checkpoint(params, path, config=None):

@@ -256,7 +256,7 @@ def _train_single(dataset, cfg, restart):
     train_idx, val_idx, _ = split_indices(len(dataset), cfg.seed)
     x_val, y_val = dataset.x[val_idx], dataset.y[val_idx]
 
-    adam = Adam(model.pack(params))
+    adam = Adam(params.flat)
 
     curves = {"loss": [], "penalty": [], "val": []}
     best_val = math.inf
@@ -273,23 +273,22 @@ def _train_single(dataset, cfg, restart):
         for lo in range(0, order.size, cfg.batch_size):
             hi = lo + cfg.batch_size
             tape = Tape()
-            objective, pred_loss, penalty, leaves = model.build_objective(
+            objective, pred_loss, penalty, leaf = model.build_objective(
                 tape, params, x_epoch[lo:hi], y_epoch[lo:hi], mu
             )
             if not np.isfinite(objective.value):
                 return (
                     f"non-finite objective at restart {restart} epoch {epoch} "
-                    f"(loss={float(pred_loss.value)!r})"
+                    f"(loss={pred_loss!r})"
                 )
             tape.backward(objective)
-            # Every leaf's gradient is a view of the one flat, pack-order array.
-            adam.step(leaves["skew"].grad.base)
+            adam.step(leaf.grad)
             params.rates /= math.sqrt(params.rates @ params.rates)
-            epoch_losses.append(float(pred_loss.value))
-            epoch_penalties.append(float(penalty.value))
+            epoch_losses.append(pred_loss)
+            epoch_penalties.append(penalty)
             # Free this step's tape and every array its stages keep before
             # the next step's forward or the validation pass runs.
-            del tape, objective, pred_loss, penalty, leaves
+            del tape, objective, leaf
 
         val_loss = _forward_loss(params, x_val, y_val)
         curves["loss"].append(float(np.mean(epoch_losses)))

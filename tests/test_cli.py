@@ -91,9 +91,8 @@ class TestGenData:
         rc = run_cli("gen-data", "--task", task, "--n-samples", "50", "--sigma", "nan",
                      "--out", str(out))
         assert rc == 1
-        assert "noise sigma must be finite and nonnegative, got nan" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --sigma must be finite and nonnegative, got nan\n"
         assert not out.exists()
-
 
     @pytest.mark.parametrize(
         "task, n_samples",
@@ -107,6 +106,20 @@ class TestGenData:
         err = capsys.readouterr().err
         assert err.startswith("error: --n-samples must be at least")
         assert f"got {n_samples}" in err and "Warning" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task, flags, found", [
+        ("synth", ("--gen-bandwidth", "0"), "--gen-bandwidth must be at least 1, got 0"),
+        ("synth-cls", ("--gen-bandwidth", "-2"), "--gen-bandwidth must be at least 1, got -2"),
+        ("synth", ("--sigma", "-1"), "--sigma must be finite and nonnegative, got -1.0"),
+        ("pendulum6d", ("--sigma", "inf"), "--sigma must be finite and nonnegative, got inf"),
+    ])
+    def test_bad_generator_flag_exits_one_naming_the_flag(self, tmp_path, capsys, task, flags,
+                                                          found):
+        out = tmp_path / "x.jsonl"
+        rc = run_cli("gen-data", "--task", task, *flags, "--out", str(out))
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {found}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("task", ["pendulum6d", "synth"])

@@ -106,6 +106,20 @@ def test_noise_sigma_must_be_finite_and_nonnegative(sigma):
         data.double_pendulum_task(50, sigma, seed=18)
 
 
+@pytest.mark.parametrize("rows", [1, 0])
+@pytest.mark.parametrize(
+    "maker", [data.synth_invariant_regression, data.synth_invariant_classification]
+)
+def test_synth_needs_two_samples_before_any_draw(maker, rows, monkeypatch):
+    # one row has a zero standard deviation, which scaled the target to -inf
+    cf = data.make_random_generator(4, seed=17, kind="rational")
+    draws = []
+    monkeypatch.setattr(data, "_resonant_character_target", lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match=f"^n_samples must be at least 2, got {rows}$"):
+        maker(cf, rows, 0.1, seed=18)
+    assert draws == []
+
+
 class TestPendulum:
     def test_true_generator_is_diagonal(self):
         ds = data.double_pendulum_task(300, 0.0, seed=15)

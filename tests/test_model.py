@@ -244,7 +244,7 @@ class TestResonancePenalty:
         params.layers[0][0][:] = 0.0
         idx = params.freq.tolist().index([1, 1])
         params.layers[0][0][idx, :] = 1.3
-        assert model.resonance_penalty(params) == 0.0
+        assert model.penalty_stage(params.layers[0][0], params.rates, params.freq)[0] == 0.0
 
     def test_single_term_value(self):
         params = model.init_params(4, 1, seed=19)
@@ -253,12 +253,13 @@ class TestResonancePenalty:
         idx = params.freq.tolist().index([1, 0])
         params.layers[0][0][idx, 0] = 2.0
         # (C * <m, rates>)^2 = (2 * 1)^2
-        assert model.resonance_penalty(params) == pytest.approx(4.0, abs=1e-15)
+        penalty = model.penalty_stage(params.layers[0][0], params.rates, params.freq)[0]
+        assert penalty == pytest.approx(4.0, abs=1e-15)
 
     def test_zero_coefficients(self):
         params = model.init_params(6, 1, seed=20)
         params.layers[0][0][:] = 0.0
-        assert model.resonance_penalty(params) == 0.0
+        assert model.penalty_stage(params.layers[0][0], params.rates, params.freq)[0] == 0.0
 
     def test_tape_penalty_equals_numpy_penalty(self):
         params = model.init_params(4, 2, seed=21)
@@ -266,7 +267,7 @@ class TestResonancePenalty:
         _, _, penalty, _ = model.build_objective(
             tape, params, np.random.default_rng(0).normal(size=(4, 4)), np.zeros((4, 1)), mu=1.0
         )
-        assert float(penalty.value) == model.resonance_penalty(params)
+        assert penalty == model.penalty_stage(params.layers[0][0], params.rates, params.freq)[0]
 
 
 class TestInvarianceCertificate:
@@ -286,7 +287,7 @@ class TestInvarianceCertificate:
         w1[idx, :] = rng.normal(size=w1.shape[1])
         w1[f + idx, :] = rng.normal(size=w1.shape[1])
         w1[2 * f :, :] = rng.normal(size=(params.r, w1.shape[1]))
-        assert model.resonance_penalty(params) <= 1e-24
+        assert model.penalty_stage(w1, params.rates, params.freq)[0] <= 1e-24
         for _ in range(100):
             x = rng.normal(size=4)
             t = rng.uniform(-np.pi, np.pi)
@@ -323,9 +324,11 @@ class TestObjectiveGradients:
         for w, b in base.layers:
             arrays.extend([w.copy(), b.copy()])
         tape = Tape()
-        obj, _, _, leaves = model.build_objective(tape, rebuild(arrays), x, y, mu=0.1)
+        obj, _, _, leaf = model.build_objective(tape, rebuild(arrays), x, y, mu=0.1)
         tape.backward(obj)
-        ad = [leaves[name].grad for name in names]
+        grads = base.copy()
+        grads.flat[...] = leaf.grad
+        ad = [model.leaf_arrays(grads)[name] for name in names]
         fd = fd_gradient(value, arrays)
         return max_rel_error(ad, fd)
 
@@ -348,10 +351,12 @@ class TestObjectiveGradients:
             return float(obj.value)
 
         tape = Tape()
-        obj, _, _, leaves = model.build_objective(tape, params, x, y, mu=0.05)
+        obj, _, _, leaf = model.build_objective(tape, params, x, y, mu=0.05)
         tape.backward(obj)
+        grads = params.copy()
+        grads.flat[...] = leaf.grad
         fd = fd_gradient(value, [params.skew.copy()])
-        assert max_rel_error([leaves["skew"].grad], fd) <= 1e-4
+        assert max_rel_error([grads.skew], fd) <= 1e-4
 
 
 def _fused_case(case, rng):
@@ -380,7 +385,11 @@ def _fused_case(case, rng):
 class TestFusedObjective:
     def test_records_one_entry(self):
         class CountingTape(Tape):
-            entries = 0
+            entries = params = 0
+
+            def param(self, *args):
+                self.params += 1
+                return super().param(*args)
 
             def record(self, *args):
                 self.entries += 1
@@ -388,8 +397,9 @@ class TestFusedObjective:
 
         params, x, y, mu = _fused_case(0, np.random.default_rng(50))
         tape = CountingTape()
-        objective, _, _, _ = model.build_objective(tape, params, x, y, mu)
-        assert tape.entries == 1
+        objective, _, _, leaf = model.build_objective(tape, params, x, y, mu)
+        assert (tape.params, tape.entries) == (1, 1)
+        assert leaf.value is params.flat
         tape.backward(objective)
 
     def test_matches_the_staged_tape_byte_for_byte(self):
@@ -398,30 +408,32 @@ class TestFusedObjective:
         for case in range(60):
             params, x, y, mu = _fused_case(case, rng)
             skew_norms.append(np.linalg.norm(skew_from_params(params.skew, params.n)))
-            results = []
-            for build in (model.build_objective, staged_objective):
-                tape = Tape()
-                objective, pred_loss, penalty, leaves = build(tape, params, x, y, mu)
-                tape.backward(objective)
-                results.append(
-                    [v.value.tobytes() for v in (objective, pred_loss, penalty)]
-                    + [leaf.grad.tobytes() for leaf in leaves.values()]
-                )
-            assert results[0] == results[1], case
+            tape = Tape()
+            objective, pred_loss, penalty, leaf = model.build_objective(tape, params, x, y, mu)
+            tape.backward(objective)
+            fused = [objective.value, pred_loss, penalty, leaf.grad]
+            tape = Tape()
+            objective, pred_loss, penalty, leaves = staged_objective(tape, params, x, y, mu)
+            tape.backward(objective)
+            grad = np.concatenate([v.grad.ravel() for v in leaves.values()])
+            staged = [objective.value, pred_loss.value, penalty.value, grad]
+            assert [np.float64(v).tobytes() for v in fused] == [v.tobytes() for v in staged], case
         assert max(skew_norms) > 1.0
 
-    def test_gradients_share_one_flat_array_in_pack_order(self):
+    def test_gradient_is_one_flat_array_in_leaf_order(self):
         params, x, y, mu = _fused_case(2, np.random.default_rng(52))
         tape = Tape()
-        objective, _, _, leaves = model.build_objective(tape, params, x, y, mu)
+        objective, _, _, leaf = model.build_objective(tape, params, x, y, mu)
         tape.backward(objective)
-        flat = leaves["skew"].grad.base
-        offset = 0
-        for leaf in leaves.values():
-            assert leaf.grad.base is flat
-            assert np.array_equal(flat[offset : offset + leaf.value.size], leaf.grad.ravel())
-            offset += leaf.value.size
-        assert offset == flat.size == model.pack(params).size
+        staged_tape = Tape()
+        staged, _, _, leaves = staged_objective(staged_tape, params, x, y, mu)
+        staged_tape.backward(staged)
+        assert leaf.grad.shape == params.flat.shape
+        assert not np.shares_memory(leaf.grad, params.flat)
+        grads = params.copy()
+        grads.flat[...] = leaf.grad
+        for name, g in model.leaf_arrays(grads).items():
+            assert np.array_equal(g, leaves[name].grad), name
 
 
 class TestCheckpoint:
@@ -510,7 +522,7 @@ class TestReflectedFrame:
         generator = lie.assemble_generator(mapped.canonical_form()).entries
         assert _relative(generator, reflected_generator) <= 1e-12
         tape, ref_tape = Tape(), Tape()
-        objective, _, _, leaves = model.build_objective(tape, mapped, x, y, 0.3)
+        objective, _, _, leaf = model.build_objective(tape, mapped, x, y, 0.3)
         ref_objective, _, _, ref_leaves = staged_objective(
             ref_tape, reference, x, y, 0.3, reflected=True
         )
@@ -522,7 +534,9 @@ class TestReflectedFrame:
         for name, a in model.leaf_arrays(ref_grads).items():
             a[...] = ref_leaves[name].grad
         expected = model.leaf_arrays(model.from_reflected_frame(ref_grads))
-        got = {name: leaf.grad for name, leaf in leaves.items()}
+        grads = mapped.copy()
+        grads.flat[...] = leaf.grad
+        got = model.leaf_arrays(grads)
         # relative to the whole gradient: the output bias's is a mean of residuals
         # that cancel to a few 1e-5 of them
         scale = max(np.max(np.abs(g)) for g in expected.values())

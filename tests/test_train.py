@@ -1,5 +1,7 @@
 import gc
+import json
 import os
+import pickle
 import weakref
 from dataclasses import asdict
 
@@ -300,11 +302,40 @@ class TestParallelRestarts:
         assert report.failure_reason == "; ".join(report.restart_failures)
 
 
+def _load_saved(params, path, reflected):
+    model.save_checkpoint(params, path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "reflected": reflected}))
+    return model.load_checkpoint(path)[0]
+
+
 class TestFlatParameters:
-    def test_pack_makes_views_and_copy_snapshots_them(self):
+    @pytest.mark.parametrize("make", [
+        lambda source, path: model.init_params(6, 1, hidden=8, seed=5),
+        lambda source, path: model.init_params(6, 1, hidden=8, seed=5, reflected=True),
+        lambda source, path: source.copy(),
+        lambda source, path: model.from_reflected_frame(source),
+        lambda source, path: _load_saved(source, path, False),
+        lambda source, path: _load_saved(source, path, True),
+        lambda source, path: pickle.loads(pickle.dumps(source)),
+    ], ids=["init", "init-reflected", "copy", "from-reflected-frame", "load", "load-reflected",
+            "pickle"])
+    def test_every_leaf_is_a_view_of_flat_in_leaf_order(self, make, tmp_path):
+        source = model.init_params(6, 2, hidden=8, seed=4)
+        params = make(source, tmp_path / "ckpt.json")
+        assert not np.shares_memory(params.flat, source.flat)
+        count = np.arange(params.flat.size, dtype=np.float64)
+        params.flat[...] = count
+        offset = 0
+        for name, a in model.leaf_arrays(params).items():
+            assert a.base is params.flat, name
+            assert np.array_equal(a.ravel(), count[offset : offset + a.size]), name
+            offset += a.size
+        assert offset == params.flat.size
+
+    def test_flat_holds_every_leaf_and_copy_snapshots_it(self):
         params = model.init_params(4, 1, hidden=8, seed=3)
         before = {name: a.copy() for name, a in model.leaf_arrays(params).items()}
-        flat = model.pack(params)
+        flat = params.flat
         offset = 0
         for name, a in model.leaf_arrays(params).items():
             assert np.shares_memory(a, flat) and a.flags.c_contiguous
@@ -329,9 +360,9 @@ class TestFlatParameters:
         steps = []
         build, adam_step = model.build_objective, train_mod.Adam.step
 
-        def spy_build(*args, **kwargs):
-            result = build(*args, **kwargs)
-            steps.append([result[3]])
+        def spy_build(tape, params, *args):
+            result = build(tape, params, *args)
+            steps.append([params.copy(), result[3]])
             return result
 
         def spy_step(adam, grad):
@@ -342,14 +373,12 @@ class TestFlatParameters:
         monkeypatch.setattr(train_mod.Adam, "step", spy_step)
         train_mod._train_single(ds, cfg, 0)
         assert len(steps) == 2
-        leaves, grad = steps[epoch]
-        offset = 0
-        for name, leaf in leaves.items():
-            part = grad[offset : offset + leaf.value.size]
-            offset += leaf.value.size
+        grads, leaf, grad = steps[epoch]
+        assert np.array_equal(grad, leaf.grad)
+        grads.flat[...] = grad
+        for name, part in model.leaf_arrays(grads).items():
             assert np.any(part != 0.0), name
-            assert np.array_equal(part, leaf.grad.ravel()), name
-        assert offset == grad.size
+        assert grad.size == grads.flat.size
 
 
 class TestStepLifetime:
