@@ -161,7 +161,7 @@ def cmd_gen_data(args):
         ds = maker(cf, args.n_samples, args.sigma, args.seed, bandwidth=bandwidth)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_dataset(ds, args.out)
-    print(f"gen-data: wrote {len(ds)} samples of task {ds.meta.task} (n={ds.meta.n}) to {args.out}")
+    print(f"gen-data: wrote {len(ds)} samples of task {ds.task} (n={ds.x.shape[1]}) to {args.out}")
     return 0
 
 
@@ -192,17 +192,17 @@ def cmd_eval(args):
     # Ignores resolvedLoss and the settings older checkpoints carry that are now fixed.
     where = f"{args.checkpoint}: checkpoint config"
     cfg = TrainConfig(**{k: fields.read(saved_cfg, k, t, where) for k, t in _CONFIG_FIELDS.items()})
-    if (ds.meta.n, ds.meta.out_dim) != (params.n, params.out_dim):
+    if (ds.x.shape[1], ds.y.shape[1]) != (params.n, params.out_dim):
         raise CliError(
-            f"dataset {args.data} has n={ds.meta.n} and out_dim={ds.meta.out_dim}, "
+            f"dataset {args.data} has n={ds.x.shape[1]} and out_dim={ds.y.shape[1]}, "
             f"checkpoint {args.checkpoint} has n={params.n} and out_dim={params.out_dim}"
         )
-    if params.loss_kind != resolve_loss(ds.meta):
+    if params.loss_kind != resolve_loss(ds):
         raise CliError(
-            f"dataset {args.data} needs the {resolve_loss(ds.meta)} loss, "
+            f"dataset {args.data} needs the {resolve_loss(ds)} loss, "
             f"checkpoint {args.checkpoint} was trained with the {params.loss_kind} loss"
         )
-    report = RunReport(task=ds.meta.task, seed=cfg.seed, config=saved_cfg)
+    report = RunReport(task=ds.task, seed=cfg.seed, config=saved_cfg)
     evaluate_params(params, ds, cfg, report)
     _write_json(args.out, report.to_json_dict())
     print(f"eval: {_headline(report)} -> {args.out}")

@@ -10,6 +10,12 @@ character with its envelope, rho_m e^{i m.theta}, is prod_k z_k^{m_k}
 (conj z_k for negative m_k), which `kernels.torus_fwd` computes from the
 raw coordinates, so no angle is taken.
 
+A dataset is one `Dataset` object: its arrays x and y and the fields its
+file's header records with them. Its n, out_dim and row count are the
+arrays' shape, stored nowhere else: `save_dataset` writes them into the
+header as n, outDim and nSamples, and `load_dataset` reads them back only
+to size the arrays and check the rows against them.
+
 Files are JSON lines: one meta header object, then one {"x": .., "y": ..}
 object per sample. Floats round-trip exactly. Saving works in chunks of
 rows, and loading a file laid out as saving writes it works in byte
@@ -59,55 +65,18 @@ _NUMBER_BYTES = b"0123456789.eE+-"
 
 
 @dataclass
-class DatasetMeta:
+class Dataset:
+    """Samples x, of shape (rows, n), and y, of shape (rows, out_dim), with
+    the fields their file's header records besides that shape."""
+
+    x: np.ndarray
+    y: np.ndarray
     task: str
-    n: int
-    out_dim: int
-    n_samples: int
     noise_sigma: float
     seed: int
     true_generator: Generator | None = None
     true_rates: np.ndarray | None = None
     output_kind: str = "regression"
-
-    def to_json_dict(self):
-        return {
-            "task": self.task,
-            "n": self.n,
-            "outDim": self.out_dim,
-            "nSamples": self.n_samples,
-            "noiseSigma": self.noise_sigma,
-            "seed": self.seed,
-            "trueGenerator": self.true_generator.to_json_dict()
-            if self.true_generator is not None
-            else None,
-            "trueLambda": self.true_rates.tolist() if self.true_rates is not None else None,
-            "outputKind": self.output_kind,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d, where):
-        gen = fields.read(d, "trueGenerator", dict, where, None)
-        if gen is not None:
-            gen = Generator.from_json_dict(gen, f"{where} trueGenerator")
-        return cls(
-            task=fields.read(d, "task", str, where),
-            n=fields.read(d, "n", int, where),
-            out_dim=fields.read(d, "outDim", int, where),
-            n_samples=fields.read(d, "nSamples", int, where),
-            noise_sigma=fields.read(d, "noiseSigma", float, where),
-            seed=fields.read(d, "seed", int, where),
-            true_generator=gen,
-            true_rates=fields.read(d, "trueLambda", fields.Array(1), where, None),
-            output_kind=fields.read(d, "outputKind", ("regression", "binary"), where, "regression"),
-        )
-
-
-@dataclass
-class Dataset:
-    x: np.ndarray
-    y: np.ndarray
-    meta: DatasetMeta
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
@@ -116,14 +85,9 @@ class Dataset:
             raise ValueError("x and y must be 2-d with matching row counts")
         if self.x.shape[0] < 1:
             raise ValueError("dataset must contain at least one sample")
-        if self.x.shape[1] != self.meta.n or self.y.shape[1] != self.meta.out_dim:
-            raise ValueError(
-                f"samples have {self.x.shape[1]} inputs and {self.y.shape[1]} outputs, "
-                f"meta declares n={self.meta.n} and out_dim={self.meta.out_dim}"
-            )
-        gen = self.meta.true_generator
-        if gen is not None and gen.n != self.meta.n:
-            raise ValueError(f"true generator has n={gen.n}, meta declares n={self.meta.n}")
+        gen = self.true_generator
+        if gen is not None and gen.n != self.x.shape[1]:
+            raise ValueError(f"true generator has n={gen.n}, samples have {self.x.shape[1]} inputs")
 
     def __len__(self):
         return self.x.shape[0]
@@ -273,25 +237,15 @@ def synth_invariant_regression(cf, n_samples, noise_sigma, seed, bandwidth=DATA_
     y = (clean / scale)[:, None]
     if noise_sigma > 0:
         y = y + noise_sigma * rng.standard_normal(y.shape)
-    meta = DatasetMeta(
-        task="synth",
-        n=cf.n,
-        out_dim=1,
-        n_samples=n_samples,
-        noise_sigma=noise_sigma,
-        seed=seed,
-        true_generator=generator,
-        true_rates=cf.rates.copy(),
-    )
-    return Dataset(x, y, meta)
+    return Dataset(x, y, "synth", noise_sigma, seed, true_generator=generator,
+                   true_rates=cf.rates.copy())
 
 
 def synth_invariant_classification(cf, n_samples, noise_sigma, seed, bandwidth=DATA_BANDWIDTH):
     """Binary labels from the thresholded invariant regression target."""
     ds = synth_invariant_regression(cf, n_samples, noise_sigma, seed, bandwidth)
     labels = (ds.y > np.median(ds.y)).astype(np.float64)
-    meta = replace(ds.meta, task="synth-cls", output_kind="binary")
-    return Dataset(ds.x, labels, meta)
+    return replace(ds, y=labels, task="synth-cls", output_kind="binary")
 
 
 def double_pendulum_task(n_samples, noise_sigma, seed):
@@ -331,17 +285,7 @@ def double_pendulum_task(n_samples, noise_sigma, seed):
     y = target(x)[:, None]
     if noise_sigma > 0:
         y = y + noise_sigma * rng.standard_normal(y.shape)
-    meta = DatasetMeta(
-        task="pendulum6d",
-        n=n,
-        out_dim=1,
-        n_samples=n_samples,
-        noise_sigma=noise_sigma,
-        seed=seed,
-        true_generator=generator,
-        true_rates=rates,
-    )
-    return Dataset(x, y, meta)
+    return Dataset(x, y, "pendulum6d", noise_sigma, seed, true_generator=generator, true_rates=rates)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -357,10 +301,23 @@ def save_dataset(ds, path):
     """
     if not (np.isfinite(ds.x).all() and np.isfinite(ds.y).all()):
         raise ValueError(f"{path}: non-finite value in x or y")
-    rows, step = len(ds), max(1, SAVE_CHUNK_VALUES // (ds.meta.n + ds.meta.out_dim))
+    (rows, n), out_dim = ds.x.shape, ds.y.shape[1]
+    step = max(1, SAVE_CHUNK_VALUES // (n + out_dim))
     tasks = [(start, min(start + step, rows)) for start in range(0, rows, step)]
     workers = pool.worker_count(len(tasks))
-    header = json.dumps({"meta": ds.meta.to_json_dict()}) + "\n"
+    gen, rates = ds.true_generator, ds.true_rates
+    meta = {
+        "task": ds.task,
+        "n": n,
+        "outDim": out_dim,
+        "nSamples": rows,
+        "noiseSigma": ds.noise_sigma,
+        "seed": ds.seed,
+        "trueGenerator": None if gen is None else gen.to_json_dict(),
+        "trueLambda": None if rates is None else rates.tolist(),
+        "outputKind": ds.output_kind,
+    }
+    header = json.dumps({"meta": meta}) + "\n"
     with closing(pool.run_in_order(_format_rows, ds, tasks, workers)) as chunks:
         fields.write(path, itertools.chain([header], chunks))
 
@@ -382,9 +339,11 @@ def _format_rows(ds, start, stop):
 def load_dataset(path):
     """Read a JSONL dataset straight into arrays of the header's shape.
 
-    A header that is not UTF-8 JSON, has a field of the wrong kind (see
-    README "Datasets") or declares more rows than the file can hold, at two
-    bytes a number and two a line, raises ValueError at once. Sample lines
+    The header's n, outDim and nSamples only size the arrays and check the
+    rows; the dataset keeps the arrays, whose shape they are. A header that
+    is not UTF-8 JSON, has a field of the wrong kind (see README
+    "Datasets") or declares more rows than the file can hold, at two bytes
+    a number and two a line, raises ValueError at once. Sample lines
     laid out exactly as save_dataset writes them are then parsed in byte
     ranges of about LOAD_CHUNK_BYTES that end on line boundaries, in a pool
     of `pool.worker_count(ranges)` workers; each range's rows are copied
@@ -398,11 +357,21 @@ def load_dataset(path):
         header = fh.readline()
         if not header:
             raise ValueError(f"{path}: empty dataset file")
-        meta = DatasetMeta.from_json_dict(
-            fields.read(fields.load(header, path, 1), "meta", dict, f"{path}: line 1: header"),
-            f"{path}: line 1: meta header",
+        meta = fields.read(fields.load(header, path, 1), "meta", dict, f"{path}: line 1: header")
+        where = f"{path}: line 1: meta header"
+        gen = fields.read(meta, "trueGenerator", dict, where, None)
+        if gen is not None:
+            gen = Generator.from_json_dict(gen, f"{where} trueGenerator")
+        task = fields.read(meta, "task", str, where)
+        n, out_dim, count = (fields.read(meta, key, int, where) for key in ("n", "outDim", "nSamples"))
+        attrs = dict(
+            task=task,
+            noise_sigma=fields.read(meta, "noiseSigma", float, where),
+            seed=fields.read(meta, "seed", int, where),
+            true_generator=gen,
+            true_rates=fields.read(meta, "trueLambda", fields.Array(1), where, None),
+            output_kind=fields.read(meta, "outputKind", ("regression", "binary"), where, "regression"),
         )
-        n, out_dim, count = meta.n, meta.out_dim, meta.n_samples
         if count * 2 * (n + out_dim + 1) > os.fstat(fh.fileno()).st_size:
             raise ValueError(f"{path}: line 1: meta header nSamples={count} is more rows than the file has")
         tasks = [(*span, n, out_dim) for span in _line_spans(fh)]
@@ -420,7 +389,7 @@ def load_dataset(path):
     if row != count:
         _read_lines(path, x, y)
     try:
-        return Dataset(x, y, meta)
+        return Dataset(x, y, **attrs)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -161,10 +161,10 @@ def split_indices(n, seed):
     return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
 
 
-def resolve_loss(meta):
-    """The loss a dataset trains with: logistic for binary outputs,
-    squared error otherwise."""
-    return "logistic" if meta.output_kind == "binary" else "squared-error"
+def resolve_loss(dataset):
+    """The loss `dataset`, one `data.Dataset`, trains with: logistic when
+    its output_kind is binary, squared error otherwise."""
+    return "logistic" if dataset.output_kind == "binary" else "squared-error"
 
 
 def _forward_loss(params, x, y):
@@ -187,7 +187,7 @@ def evaluate_params(params, ds, cfg, report):
     """
     _, _, test_idx = split_indices(len(ds), cfg.seed)
     x_test, y_test = ds.x[test_idx], ds.y[test_idx]
-    if resolve_loss(ds.meta) == "squared-error":
+    if resolve_loss(ds) == "squared-error":
         report.test_mse = metrics.test_mse(params, x_test, y_test)
     else:
         report.accuracy = metrics.accuracy(params, x_test, y_test)
@@ -203,7 +203,7 @@ def evaluate_params(params, ds, cfg, report):
     report.lambda_reliable = report.nullity == 1
     report.estimator_agreement = generator_cosine_similarity(direct, spectral)
 
-    true_gen = ds.meta.true_generator
+    true_gen = ds.true_generator
     if true_gen is not None:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SALT_EVAL]))
         take = min(INV_X_SAMPLES, x_test.shape[0])
@@ -244,14 +244,15 @@ def _train_single(dataset, cfg, restart):
     """
     rng_init = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SALT_INIT, restart]))
     rng_batch = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SALT_BATCH, restart]))
+    n = dataset.x.shape[1]
     params = model.init_params(
-        n=dataset.meta.n,
+        n=n,
         bandwidth=cfg.bandwidth,
-        out_dim=dataset.meta.out_dim,
+        out_dim=dataset.y.shape[1],
         seed=rng_init,
-        loss_kind=resolve_loss(dataset.meta),
+        loss_kind=resolve_loss(dataset),
         reflected=bool(restart % 2),
-        rates_init=_rate_candidate(dataset.meta.n // 2, restart),
+        rates_init=_rate_candidate(n // 2, restart),
     )
     train_idx, val_idx, _ = split_indices(len(dataset), cfg.seed)
     x_val, y_val = dataset.x[val_idx], dataset.y[val_idx]
@@ -317,7 +318,7 @@ def check_trainable(dataset, cfg):
     """Raise ValueError if `cfg` cannot train on `dataset`: its bandwidth's
     primitive_set is too large to build, or the dataset is too small to
     give every split a row."""
-    primitive_set(cfg.bandwidth, dataset.meta.n // 2)
+    primitive_set(cfg.bandwidth, dataset.x.shape[1] // 2)
     if not all(part.size for part in split_indices(len(dataset), cfg.seed)):
         raise ValueError(
             f"a dataset of {len(dataset)} rows leaves its train, validation or test "
@@ -352,9 +353,9 @@ def train(dataset, cfg):
     start = time.perf_counter()
     workers = _restart_workers(dataset, cfg)
     report = RunReport(
-        task=dataset.meta.task,
+        task=dataset.task,
         seed=cfg.seed,
-        config={**asdict(cfg), "resolvedLoss": resolve_loss(dataset.meta)},
+        config={**asdict(cfg), "resolvedLoss": resolve_loss(dataset)},
     )
 
     tasks = [(cfg, r) for r in range(cfg.restarts)]

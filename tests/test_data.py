@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import itertools
 import json
@@ -13,7 +14,9 @@ import sospec.model as model
 import sospec.pool as pool_mod
 from oracles import rational_nullspace, traced_peak
 from sospec.lattice import estimate_lambda, primitive_set, resonant_subset
-from sospec.lie import CanonicalForm, J2, assemble_generator, matrix_exp, retract_orthogonal
+from sospec.lie import (
+    CanonicalForm, Generator, J2, assemble_generator, matrix_exp, retract_orthogonal,
+)
 
 
 class TestMakeRandomGenerator:
@@ -72,10 +75,10 @@ class TestSynthRegression:
         cf = data.make_random_generator(4, seed=7, kind="rational")
         ds = data.synth_invariant_regression(cf, 500, 0.2, seed=8)
         assert ds.x.shape == (500, 4) and ds.y.shape == (500, 1)
-        assert ds.meta.task == "synth"
-        assert ds.meta.noise_sigma == 0.2
-        assert ds.meta.true_generator is not None
-        assert np.allclose(ds.meta.true_rates, cf.rates)
+        assert ds.task == "synth"
+        assert ds.noise_sigma == 0.2
+        assert ds.true_generator is not None
+        assert np.allclose(ds.true_rates, cf.rates)
 
     def test_unit_scale_before_noise(self):
         cf = data.make_random_generator(4, seed=9, kind="rational")
@@ -126,8 +129,8 @@ class TestPendulum:
         expected = np.zeros((6, 6))
         for k in range(3):
             expected[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = J2 / np.sqrt(3.0)
-        assert np.allclose(ds.meta.true_generator.entries, expected, atol=1e-15)
-        assert np.allclose(ds.meta.true_rates, np.ones(3) / np.sqrt(3.0))
+        assert np.allclose(ds.true_generator.entries, expected, atol=1e-15)
+        assert np.allclose(ds.true_rates, np.ones(3) / np.sqrt(3.0))
 
     def test_difference_rays_are_resonant(self):
         rates = np.ones(3)
@@ -261,13 +264,32 @@ class TestSerialization:
         path = tmp_path / "ds.jsonl"
         data.save_dataset(ds, path)
         back = data.load_dataset(path)
-        assert np.array_equal(back.x, ds.x)
-        assert np.array_equal(back.y, ds.y)
-        assert back.meta.task == ds.meta.task
-        assert back.meta.seed == ds.meta.seed
-        assert back.meta.noise_sigma == ds.meta.noise_sigma
-        assert np.array_equal(back.meta.true_generator.entries, ds.meta.true_generator.entries)
-        assert np.array_equal(back.meta.true_rates, ds.meta.true_rates)
+        _assert_same_dataset(back, ds)
+
+    def test_cut_dataset_saves_and_loads_its_own_row_count(self, tmp_path):
+        ds = data.double_pendulum_task(100, 0.1, seed=23)
+        cut = dataclasses.replace(ds, x=ds.x[:10], y=ds.y[:10])
+        path = tmp_path / "cut.jsonl"
+        data.save_dataset(cut, path)
+        back = data.load_dataset(path)
+        assert len(back) == 10
+        _assert_same_dataset(back, cut)
+
+    def test_file_format_is_the_documented_lines(self, tmp_path):
+        ds = data.Dataset(
+            np.array([[0.5, -1.25], [2.0, 1e-07]]), np.array([[3.0], [-0.75]]), "pinned", 0.25, 7,
+            true_generator=Generator(np.array([[0.0, -0.5], [0.5, 0.0]])), true_rates=np.ones(1),
+        )
+        path = tmp_path / "pinned.jsonl"
+        data.save_dataset(ds, path)
+        assert path.read_text().split("\n") == [
+            '{"meta": {"task": "pinned", "n": 2, "outDim": 1, "nSamples": 2, "noiseSigma": 0.25, '
+            '"seed": 7, "trueGenerator": {"n": 2, "entries": [[0.0, -0.5], [0.5, 0.0]]}, '
+            '"trueLambda": [1.0], "outputKind": "regression"}}',
+            '{"x": [0.5, -1.25], "y": [3.0]}',
+            '{"x": [2.0, 1e-07], "y": [-0.75]}',
+            "",
+        ]
 
     def test_meta_header_first_line(self, tmp_path):
         ds = data.double_pendulum_task(10, 0.0, seed=23)
@@ -360,6 +382,18 @@ class TestSerialization:
             data.load_dataset(path)
 
 
+def _assert_same_dataset(a, b):
+    """`a` and `b` hold the same arrays and header fields, bit for bit."""
+    for field in dataclasses.fields(data.Dataset):
+        va, vb = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(va, Generator):
+            va, vb = va.entries, vb.entries
+        if isinstance(va, np.ndarray):
+            assert va.dtype == vb.dtype and np.array_equal(va, vb), field.name
+        else:
+            assert type(va) is type(vb) and va == vb, field.name
+
+
 def _row(first):
     """A pendulum sample line whose first input is the text `first`."""
     return '{"x": [%s, 0.5, -1.25, 2.0, 0.0, 3.5], "y": [0.75]}' % first
@@ -384,7 +418,12 @@ def _bits(a):
 
 def _oracle_bytes(ds):
     """The file save_dataset writes, one json.dumps per row."""
-    lines = [json.dumps({"meta": ds.meta.to_json_dict()})]
+    gen, rates = ds.true_generator, ds.true_rates
+    meta = {"task": ds.task, "n": ds.x.shape[1], "outDim": ds.y.shape[1], "nSamples": len(ds),
+            "noiseSigma": ds.noise_sigma, "seed": ds.seed,
+            "trueGenerator": None if gen is None else {"n": gen.n, "entries": gen.entries.tolist()},
+            "trueLambda": None if rates is None else rates.tolist(), "outputKind": ds.output_kind}
+    lines = [json.dumps({"meta": meta})]
     lines += [json.dumps({"x": ds.x[i].tolist(), "y": ds.y[i].tolist()}) for i in range(len(ds))]
     return ("\n".join(lines) + "\n").encode()
 
@@ -732,7 +771,7 @@ class TestClassification:
         cf = data.make_random_generator(4, seed=24, kind="rational")
         ds = data.synth_invariant_classification(cf, 2000, 0.1, seed=25)
         assert set(np.unique(ds.y)) <= {0.0, 1.0}
-        assert ds.meta.output_kind == "binary"
-        assert ds.meta.task == "synth-cls"
+        assert ds.output_kind == "binary"
+        assert ds.task == "synth-cls"
         frac = float(np.mean(ds.y))
         assert 0.45 <= frac <= 0.55

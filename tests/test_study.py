@@ -12,7 +12,7 @@ import sospec.pool as pool_mod
 import sospec.train as train_mod
 from sospec import study
 from sospec.cli import main as cli_main
-from sospec.data import Dataset, DatasetMeta
+from sospec.data import Dataset
 from sospec.train import RunReport, TrainConfig, train
 
 # A miniature of the study: two seeds, one epoch.
@@ -223,7 +223,7 @@ class TestAxis:
 
         def fails_at_the_second_value(ds, cfg):
             # (sigma, rows) of the runs at the second value
-            if (ds.meta.noise_sigma, len(ds)) == failing:
+            if (ds.noise_sigma, len(ds)) == failing:
                 raise RuntimeError("injected failure")
             return real_train(ds, cfg)
 
@@ -287,8 +287,7 @@ class TestAxis:
 
 
 def _zeros(n_samples):
-    meta = DatasetMeta(task="zeros", n=4, out_dim=1, n_samples=n_samples, noise_sigma=0.0, seed=0)
-    return Dataset(np.zeros((n_samples, 4)), np.zeros((n_samples, 1)), meta)
+    return Dataset(np.zeros((n_samples, 4)), np.zeros((n_samples, 1)), "zeros", 0.0, 0)
 
 
 class TestStudyPool:
@@ -302,7 +301,7 @@ class TestStudyPool:
         def record_workers(ds, cfg):
             # the row carries the restart workers as nullity, a pool worker as reliable
             workers = train_mod._restart_workers(big, TrainConfig())
-            report = RunReport(ds.meta.task, cfg.seed, {}, nullity=workers,
+            report = RunReport(ds.task, cfg.seed, {}, nullity=workers,
                                lambda_reliable=os.getpid() != parent, wall_clock=0.0)
             return None, report
 

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import pickle
 import weakref
@@ -10,7 +11,7 @@ import pytest
 
 import sospec.model as model
 import sospec.pool as pool_mod
-from sospec.data import Dataset, DatasetMeta, synth_invariant_regression
+from sospec.data import Dataset, synth_invariant_regression
 from sospec.lie import CanonicalForm
 import sospec.train as train_mod
 from sospec.train import RunReport, TrainConfig, evaluate_params, mu_schedule, split_indices, train
@@ -87,10 +88,7 @@ def _linear_feature_dataset(n_samples, sigma, seed):
     angles = np.arctan2(x[:, 1], x[:, 0])
     clean = 1.2 * np.cos(angles) - 0.8 * np.sin(angles) + 0.6 * radii
     y = clean + sigma * rng.standard_normal(n_samples)
-    meta = DatasetMeta(
-        task="linear-feature", n=2, out_dim=1, n_samples=n_samples, noise_sigma=sigma, seed=seed
-    )
-    return Dataset(x, y[:, None], meta), rng
+    return Dataset(x, y[:, None], "linear-feature", sigma, seed), rng
 
 
 class TestTrainBehavior:
@@ -113,11 +111,8 @@ class TestTrainBehavior:
         rng = np.random.default_rng(21)
         x = rng.standard_normal((2000, 4))
         y = np.full((2000, 1), 1.0)
-        meta = DatasetMeta(
-            task="const", n=4, out_dim=1, n_samples=2000, noise_sigma=0.0, seed=21
-        )
         cfg = TrainConfig(epochs=5, warmup_epochs=1, bandwidth=1, seed=3)
-        _, report = train(Dataset(x, y, meta), cfg)
+        _, report = train(Dataset(x, y, "const", 0.0, 21), cfg)
         assert report.test_mse <= 0.02
 
     def test_rates_unit_norm_after_training(self):
@@ -143,10 +138,7 @@ class TestTrainBehavior:
         x = rng.standard_normal((500, 4))
         y = rng.standard_normal((500, 1))
         y[3, 0] = np.nan
-        meta = DatasetMeta(
-            task="broken", n=4, out_dim=1, n_samples=500, noise_sigma=0.0, seed=31
-        )
-        params, report = train(Dataset(x, y, meta), micro_config())
+        params, report = train(Dataset(x, y, "broken", 0.0, 31), micro_config())
         assert params is None
         assert report.failure_reason is not None
         assert report.test_mse is None
@@ -166,13 +158,25 @@ class TestTrainBehavior:
         params, report = train(_restart_dataset(10, seed=4), micro_config(restarts=1))
         assert params is not None and report.test_mse is not None
 
-    def test_penalty_curve_matches_resonance_penalty(self):
-        # tracked penalty values are nonnegative and the final one agrees
-        # with the plain-numpy penalty of the final parameters
-        cf = CanonicalForm(np.eye(4), np.array([1.0, -1.0]) / np.sqrt(2.0))
-        ds = synth_invariant_regression(cf, 600, 0.1, seed=7, bandwidth=1)
-        params, report = train(ds, micro_config(seed=1, epochs=3, warmup_epochs=1))
-        assert all(v >= 0.0 for v in report.penalty_curve)
+    def test_loss_and_penalty_curves_are_epoch_means_of_the_objective_terms(self, monkeypatch):
+        terms = []  # (prediction loss, penalty) of every batch, in order
+        build = model.build_objective
+
+        def spy(*args):
+            built = build(*args)
+            terms.append(built[1:3])
+            return built
+
+        monkeypatch.setattr(model, "build_objective", spy)
+        ds = _restart_dataset(600, seed=7)
+        cfg = micro_config(seed=1, epochs=3, warmup_epochs=1, restarts=1)
+        _, report = train(ds, cfg)
+        batches = math.ceil(split_indices(len(ds), cfg.seed)[0].size / cfg.batch_size)
+        assert batches > 1 and len(terms) == cfg.epochs * batches
+        for e in range(cfg.epochs):
+            losses, penalties = zip(*terms[e * batches : (e + 1) * batches])
+            assert report.loss_curve[e] == float(np.mean(losses))
+            assert report.penalty_curve[e] == float(np.mean(penalties))
 
     def test_mu_curve_is_the_schedule(self):
         cfg = micro_config(restarts=1)
@@ -212,8 +216,7 @@ def _restart_dataset(n_samples, seed):
 
 
 def _zeros(n_samples):
-    meta = DatasetMeta(task="zeros", n=4, out_dim=1, n_samples=n_samples, noise_sigma=0.0, seed=0)
-    return Dataset(np.zeros((n_samples, 4)), np.zeros((n_samples, 1)), meta)
+    return Dataset(np.zeros((n_samples, 4)), np.zeros((n_samples, 1)), "zeros", 0.0, 0)
 
 
 def _parent_workers(cfg):
@@ -294,8 +297,8 @@ class TestParallelRestarts:
         x = rng.standard_normal((500, 4))
         y = rng.standard_normal((500, 1))
         y[3, 0] = np.nan
-        meta = DatasetMeta(task="broken", n=4, out_dim=1, n_samples=500, noise_sigma=0.0, seed=31)
-        params, report = _train_with_workers(monkeypatch, 2, Dataset(x, y, meta), micro_config())
+        dataset = Dataset(x, y, "broken", 0.0, 31)
+        params, report = _train_with_workers(monkeypatch, 2, dataset, micro_config())
         assert params is None
         assert all(f.startswith("non-finite objective") for f in report.restart_failures)
         assert report.restart_val_losses == [None, None]
@@ -433,7 +436,7 @@ class TestEvaluateParams:
         cf = CanonicalForm(np.eye(4), self.RATES)
         ds = synth_invariant_regression(cf, 200, 0.1, seed=40, bandwidth=1)
         cfg = micro_config()
-        report = RunReport(task=ds.meta.task, seed=cfg.seed, config={})
+        report = RunReport(task=ds.task, seed=cfg.seed, config={})
         evaluate_params(params, ds, cfg, report)
         return report
 
