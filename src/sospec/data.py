@@ -64,7 +64,7 @@ LOAD_CHUNK_BYTES = 1 << 17
 _NUMBER_BYTES = b"0123456789.eE+-"
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     """Samples x, of shape (rows, n), and y, of shape (rows, out_dim), with
     the fields their file's header records besides that shape."""
@@ -341,9 +341,10 @@ def load_dataset(path):
 
     The header's n, outDim and nSamples only size the arrays and check the
     rows; the dataset keeps the arrays, whose shape they are. A header that
-    is not UTF-8 JSON, has a field of the wrong kind (see README
-    "Datasets") or declares more rows than the file can hold, at two bytes
-    a number and two a line, raises ValueError at once. Sample lines
+    is not UTF-8 JSON, has a field that breaks its rule (see README
+    "Datasets"; a negative noiseSigma, or a trueGenerator whose n is not
+    the header's) or declares more rows than the file can hold, at two
+    bytes a number and two a line, raises ValueError at once. Sample lines
     laid out exactly as save_dataset writes them are then parsed in byte
     ranges of about LOAD_CHUNK_BYTES that end on line boundaries, in a pool
     of `pool.worker_count(ranges)` workers; each range's rows are copied
@@ -372,6 +373,12 @@ def load_dataset(path):
             true_rates=fields.read(meta, "trueLambda", fields.Array(1), where, None),
             output_kind=fields.read(meta, "outputKind", ("regression", "binary"), where, "regression"),
         )
+        if gen is not None and gen.n != n:
+            raise ValueError(f"{where} trueGenerator has n={gen.n}, the header has n={n}")
+        try:
+            check_noise_sigma(attrs["noise_sigma"])
+        except ValueError as exc:
+            raise ValueError(f"{where} noiseSigma: {exc}") from None
         if count * 2 * (n + out_dim + 1) > os.fstat(fh.fileno()).st_size:
             raise ValueError(f"{path}: line 1: meta header nSamples={count} is more rows than the file has")
         tasks = [(*span, n, out_dim) for span in _line_spans(fh)]

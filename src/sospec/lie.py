@@ -32,7 +32,7 @@ def _as_matrix(x):
     return np.asarray(x, dtype=np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Generator:
     """Dense skew-symmetric matrix in the rotation Lie algebra."""
 
@@ -69,7 +69,7 @@ class Generator:
             raise ValueError(f"{where}: {exc}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalForm:
     """Orthogonal alignment plus per-plane rotation rates. Rates are
     identifiable only up to scale, so most of the pipeline normalizes them.

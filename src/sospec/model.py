@@ -15,10 +15,10 @@ is not orthogonal to the rates.
 
 The pipeline is a fixed chain of closed-form stages: align, features, one
 dense stage per layer, the loss and the penalty. Each is a plain function
-returning (value, vjp). `build_objective` records the whole objective, the
-loss plus mu times the penalty, as one tape entry over GeneratorParams.flat,
-the vector every learned array is a view of; `predict` calls the same stage
-functions and drops the vjp.
+returning (value, vjp). `build_objective` computes the whole objective, the
+loss plus mu times the penalty, and records one VJP that returns its
+gradient laid out as GeneratorParams.flat, the vector every learned array
+is a view of; `predict` calls the same stage functions and drops the vjp.
 """
 
 import json
@@ -30,7 +30,7 @@ from . import fields, kernels, lie
 from .lattice import primitive_set, reflect_last_block
 
 
-@dataclass
+@dataclass(eq=False)
 class GeneratorParams:
     """Everything the trainer learns, plus the static architecture info.
 
@@ -307,14 +307,14 @@ def _views(flat, arrays):
 
 
 def build_objective(tape, params, x, y, mu):
-    """Prediction loss plus mu times the resonance penalty, as one tape entry
-    over one leaf, params.flat.
+    """Prediction loss plus mu times the resonance penalty, recorded on
+    `tape` with one VJP.
 
-    Runs the stages in order on the params' arrays. The entry's VJP calls
-    their VJPs in reverse, sums the first-layer weight's two adjoints, and
-    writes every array's gradient into one flat array in leaf_arrays order.
-    Returns (objective, prediction loss, penalty, leaf), the two terms as
-    floats; tape.backward(objective) sets leaf.grad.
+    Runs the stages in order on the params' arrays. The VJP calls their
+    VJPs in reverse, sums the first-layer weight's two adjoints, and writes
+    every array's gradient into one new array laid out as params.flat.
+    Returns (objective, prediction loss, penalty) as floats;
+    tape.backward() returns the gradient.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -341,11 +341,10 @@ def build_objective(tape, params, x, y, mu):
         grads[2] += d_w0
         (d_h,) = features_vjp(d_h)
         (grads[0][...],) = align_vjp(d_h)
-        return (flat,)
+        return flat
 
-    leaf = tape.param(params.flat)
-    objective = tape.record(lambda _: (pred_loss + penalty * mu, vjp), (leaf,))
-    return objective, float(pred_loss), float(penalty), leaf
+    objective = tape.record(float(pred_loss + penalty * mu), vjp)
+    return objective, float(pred_loss), float(penalty)
 
 
 def predict(params, x):

@@ -274,22 +274,21 @@ def _train_single(dataset, cfg, restart):
         for lo in range(0, order.size, cfg.batch_size):
             hi = lo + cfg.batch_size
             tape = Tape()
-            objective, pred_loss, penalty, leaf = model.build_objective(
+            objective, pred_loss, penalty = model.build_objective(
                 tape, params, x_epoch[lo:hi], y_epoch[lo:hi], mu
             )
-            if not np.isfinite(objective.value):
+            if not math.isfinite(objective):
                 return (
                     f"non-finite objective at restart {restart} epoch {epoch} "
                     f"(loss={pred_loss!r})"
                 )
-            tape.backward(objective)
-            adam.step(leaf.grad)
+            adam.step(tape.backward())
             params.rates /= math.sqrt(params.rates @ params.rates)
             epoch_losses.append(pred_loss)
             epoch_penalties.append(penalty)
-            # Free this step's tape and every array its stages keep before
-            # the next step's forward or the validation pass runs.
-            del tape, objective, leaf
+            # backward dropped the record, and with it every array the
+            # stages kept; drop the tape before the next step's forward.
+            del tape
 
         val_loss = _forward_loss(params, x_val, y_val)
         curves["loss"].append(float(np.mean(epoch_losses)))

@@ -11,8 +11,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from sospec.autodiff import Tape
-
 
 def enumerate_primitives_bruteforce(bandwidth, r):
     """Canonicalize every nonzero lattice point in the box, then dedupe."""
@@ -147,24 +145,18 @@ def generic_objective_case(n, bandwidth, rng, hidden=6, samples=4):
     return params, x, y, mu
 
 
-def gradcheck(build, init_params, floor=1e-3, step_scale=1e-6):
-    """Compare reverse-mode gradients of `build` against finite differences.
+def gradcheck(stage, arrays, *args, floor=1e-3, step_scale=1e-6):
+    """Compare the VJP of `stage(*arrays, *args) -> (value, vjp)` against
+    central finite differences of <weights, value>, for one fixed random
+    weighting of the whole output. Returns the worst relative error."""
+    value, vjp = stage(*(a.copy() for a in arrays), *args)
+    weights = np.random.default_rng(0).normal(size=np.shape(value))
 
-    `build(tape, vars) -> scalar Var` where vars are tape params created
-    from init_params. Returns the worst relative error.
-    """
+    def weighted(inputs):
+        return float(np.sum(weights * stage(*inputs, *args)[0]))
 
-    def value(params):
-        tape = Tape()
-        pvars = [tape.param(p) for p in params]
-        return float(build(tape, pvars).value)
-
-    tape = Tape()
-    pvars = [tape.param(p) for p in init_params]
-    loss = build(tape, pvars)
-    tape.backward(loss)
-    ad = [v.grad.copy() for v in pvars]
-    fd = fd_gradient(value, [p.copy() for p in init_params], step_scale)
+    ad = vjp(weights)
+    fd = fd_gradient(weighted, [a.copy() for a in arrays], step_scale)
     return max_rel_error(ad, fd, floor)
 
 
@@ -197,30 +189,39 @@ def reflected_predict(params, x):
     return h
 
 
-def staged_objective(tape, params, x, y, mu, reflected=False):
-    """The objective as one tape entry per model stage: align, features,
-    each dense layer, loss, penalty and their weighted sum (nine entries for
-    four layers). It is the reference that model.build_objective's single
-    fused entry must match byte for byte; with `reflected`, the params are
-    read in the reflected frame. Returns the same
-    (objective, prediction loss, penalty, leaves) tuple."""
+def staged_objective(params, x, y, mu, reflected=False):
+    """The objective run one model stage at a time: align, features, each
+    dense layer, loss and penalty, then their weighted sum. The stages'
+    VJPs are chained by hand in reverse, and the first-layer weight's
+    penalty and dense adjoints summed. It is the reference that
+    model.build_objective must match byte for byte; with `reflected`, the
+    params are read in the reflected frame. Returns (objective, prediction
+    loss, penalty, gradients by leaf_arrays name)."""
     import sospec.model as model
 
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    mu = float(mu)
     freq = params.freq
-    leaves = {name: tape.param(a) for name, a in model.leaf_arrays(params).items()}
     align = reflected_align_stage if reflected else model.align_stage
-    h = tape.record(align, (leaves["skew"],), x)
-    h = tape.record(model.features_stage, (h,), freq)
+    h, align_vjp = align(params.skew, x)
+    h, features_vjp = model.features_stage(h, freq)
+    dense_vjps = []
     last = len(params.layers) - 1
-    for i in range(len(params.layers)):
-        h = tape.record(model.dense_stage, (h, leaves[f"w{i}"], leaves[f"b{i}"]), i != last)
-    pred_loss = tape.record(model.loss_stage, (h,), y, params.loss_kind)
-    penalty = tape.record(model.penalty_stage, (leaves["w0"], leaves["rates"]), freq)
+    for i, (w, b) in enumerate(params.layers):
+        h, vjp = model.dense_stage(h, w, b, i != last)
+        dense_vjps.append(vjp)
+    pred_loss, loss_vjp = model.loss_stage(h, y, params.loss_kind)
+    penalty, penalty_vjp = model.penalty_stage(params.layers[0][0], params.rates, freq)
+    objective = pred_loss + penalty * mu
 
-    def weighted_sum(loss_value, penalty_value, weight):
-        return loss_value + penalty_value * weight, lambda g: (g, g * weight)
-
-    objective = tape.record(weighted_sum, (pred_loss, penalty), float(mu))
-    return objective, pred_loss, penalty, leaves
+    # the weighted sum hands adjoint 1 to the loss and mu to the penalty
+    grads = {}
+    d_w0_penalty, grads["rates"] = penalty_vjp(mu)
+    (d_h,) = loss_vjp(1.0)
+    for i in range(last, -1, -1):
+        d_h, grads[f"w{i}"], grads[f"b{i}"] = dense_vjps[i](d_h)
+    grads["w0"] = d_w0_penalty + grads["w0"]
+    (d_h,) = features_vjp(d_h)
+    (grads["skew"],) = align_vjp(d_h)
+    return objective, pred_loss, penalty, {name: grads[name] for name in model.leaf_arrays(params)}

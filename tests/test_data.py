@@ -340,7 +340,8 @@ class TestSerialization:
         data.save_dataset(ds, path)
         lines = path.read_text().split("\n")
         header = json.loads(lines[0])
-        header["meta"]["n"] = 6
+        # without the generator, whose n=4 the header check would refuse first
+        header["meta"].update(n=6, trueGenerator=None)
         lines[0] = json.dumps(header)
         path.write_text("\n".join(lines))
         with pytest.raises(ValueError, match=r"ds\.jsonl: samples have 4 inputs .* n=6"):
@@ -374,6 +375,30 @@ class TestSerialization:
         back, peak = traced_peak(data.load_dataset, path)
         assert np.array_equal(back.x, ds.x) and np.array_equal(back.y, ds.y)
         assert peak < 2 * (back.x.nbytes + back.y.nbytes)
+
+    @pytest.mark.parametrize("key, value, found", [
+        ("trueGenerator", {"n": 4, "entries": [[0.0] * 4] * 4},
+         "trueGenerator has n=4, the header has n=6"),
+        ("noiseSigma", -0.5, "noiseSigma: noise sigma must be finite and nonnegative, got -0.5"),
+    ], ids=["generator-size", "negative-sigma"])
+    def test_header_rule_is_checked_before_any_row(self, tmp_path, monkeypatch, key, value, found):
+        path = tmp_path / "ds.jsonl"
+        data.save_dataset(data.double_pendulum_task(200, 0.1, seed=31), path)
+        header, rows = path.read_text().split("\n", 1)
+        doc = json.loads(header)
+        doc["meta"][key] = value
+        path.write_text(json.dumps(doc) + "\n" + rows)
+        runs, run_in_order = [], pool_mod.run_in_order
+
+        def spy(*args):
+            runs.append(args)
+            return run_in_order(*args)
+
+        monkeypatch.setattr(pool_mod, "run_in_order", spy)
+        with pytest.raises(ValueError) as err:
+            data.load_dataset(path)
+        assert str(err.value) == f"{path}: line 1: meta header {found}"
+        assert runs == []
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -775,3 +800,15 @@ class TestClassification:
         assert ds.task == "synth-cls"
         frac = float(np.mean(ds.y))
         assert 0.45 <= frac <= 0.55
+
+
+@pytest.mark.parametrize("make", [
+    lambda: data.double_pendulum_task(20, 0.1, 3),
+    lambda: model.init_params(4, 1, seed=1),
+    lambda: data.double_pendulum_task(20, 0.1, 3).true_generator,
+    lambda: CanonicalForm(np.eye(4), np.array([1.0, -1.0]) / np.sqrt(2.0)),
+], ids=["Dataset", "GeneratorParams", "Generator", "CanonicalForm"])
+def test_value_types_holding_arrays_compare_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b}) == 2

@@ -263,9 +263,8 @@ class TestResonancePenalty:
 
     def test_tape_penalty_equals_numpy_penalty(self):
         params = model.init_params(4, 2, seed=21)
-        tape = Tape()
-        _, _, penalty, _ = model.build_objective(
-            tape, params, np.random.default_rng(0).normal(size=(4, 4)), np.zeros((4, 1)), mu=1.0
+        _, _, penalty = model.build_objective(
+            Tape(), params, np.random.default_rng(0).normal(size=(4, 4)), np.zeros((4, 1)), mu=1.0
         )
         assert penalty == model.penalty_stage(params.layers[0][0], params.rates, params.freq)[0]
 
@@ -316,18 +315,15 @@ class TestObjectiveGradients:
             return p
 
         def value(arrays):
-            tape = Tape()
-            obj, _, _, _ = model.build_objective(tape, rebuild(arrays), x, y, mu=0.1)
-            return float(obj.value)
+            return model.build_objective(Tape(), rebuild(arrays), x, y, mu=0.1)[0]
 
         arrays = [base.skew.copy(), base.rates.copy()]
         for w, b in base.layers:
             arrays.extend([w.copy(), b.copy()])
         tape = Tape()
-        obj, _, _, leaf = model.build_objective(tape, rebuild(arrays), x, y, mu=0.1)
-        tape.backward(obj)
+        model.build_objective(tape, rebuild(arrays), x, y, mu=0.1)
         grads = base.copy()
-        grads.flat[...] = leaf.grad
+        grads.flat[...] = tape.backward()
         ad = [model.leaf_arrays(grads)[name] for name in names]
         fd = fd_gradient(value, arrays)
         return max_rel_error(ad, fd)
@@ -346,15 +342,12 @@ class TestObjectiveGradients:
         def value(arrays):
             p = params.copy()
             p.skew = arrays[0]
-            tape = Tape()
-            obj, _, _, _ = model.build_objective(tape, p, x, y, mu=0.05)
-            return float(obj.value)
+            return model.build_objective(Tape(), p, x, y, mu=0.05)[0]
 
         tape = Tape()
-        obj, _, _, leaf = model.build_objective(tape, params, x, y, mu=0.05)
-        tape.backward(obj)
+        model.build_objective(tape, params, x, y, mu=0.05)
         grads = params.copy()
-        grads.flat[...] = leaf.grad
+        grads.flat[...] = tape.backward()
         fd = fd_gradient(value, [params.skew.copy()])
         assert max_rel_error([grads.skew], fd) <= 1e-4
 
@@ -385,22 +378,19 @@ def _fused_case(case, rng):
 class TestFusedObjective:
     def test_records_one_entry(self):
         class CountingTape(Tape):
-            entries = params = 0
-
-            def param(self, *args):
-                self.params += 1
-                return super().param(*args)
+            records = 0
 
             def record(self, *args):
-                self.entries += 1
+                self.records += 1
                 return super().record(*args)
 
         params, x, y, mu = _fused_case(0, np.random.default_rng(50))
         tape = CountingTape()
-        objective, _, _, leaf = model.build_objective(tape, params, x, y, mu)
-        assert (tape.params, tape.entries) == (1, 1)
-        assert leaf.value is params.flat
-        tape.backward(objective)
+        model.build_objective(tape, params, x, y, mu)
+        assert tape.records == 1
+        grad = tape.backward()
+        assert grad.shape == params.flat.shape and grad.dtype == np.float64
+        assert not np.shares_memory(grad, params.flat)
 
     def test_matches_the_staged_tape_byte_for_byte(self):
         rng = np.random.default_rng(51)
@@ -409,31 +399,26 @@ class TestFusedObjective:
             params, x, y, mu = _fused_case(case, rng)
             skew_norms.append(np.linalg.norm(skew_from_params(params.skew, params.n)))
             tape = Tape()
-            objective, pred_loss, penalty, leaf = model.build_objective(tape, params, x, y, mu)
-            tape.backward(objective)
-            fused = [objective.value, pred_loss, penalty, leaf.grad]
-            tape = Tape()
-            objective, pred_loss, penalty, leaves = staged_objective(tape, params, x, y, mu)
-            tape.backward(objective)
-            grad = np.concatenate([v.grad.ravel() for v in leaves.values()])
-            staged = [objective.value, pred_loss.value, penalty.value, grad]
-            assert [np.float64(v).tobytes() for v in fused] == [v.tobytes() for v in staged], case
+            fused = [*model.build_objective(tape, params, x, y, mu), tape.backward()]
+            *terms, grads = staged_objective(params, x, y, mu)
+            staged = [*terms, np.concatenate([g.ravel() for g in grads.values()])]
+            assert [np.float64(v).tobytes() for v in fused] == [
+                np.float64(v).tobytes() for v in staged
+            ], case
         assert max(skew_norms) > 1.0
 
     def test_gradient_is_one_flat_array_in_leaf_order(self):
         params, x, y, mu = _fused_case(2, np.random.default_rng(52))
         tape = Tape()
-        objective, _, _, leaf = model.build_objective(tape, params, x, y, mu)
-        tape.backward(objective)
-        staged_tape = Tape()
-        staged, _, _, leaves = staged_objective(staged_tape, params, x, y, mu)
-        staged_tape.backward(staged)
-        assert leaf.grad.shape == params.flat.shape
-        assert not np.shares_memory(leaf.grad, params.flat)
+        model.build_objective(tape, params, x, y, mu)
+        grad = tape.backward()
+        staged = staged_objective(params, x, y, mu)[3]
+        assert grad.shape == params.flat.shape
+        assert not np.shares_memory(grad, params.flat)
         grads = params.copy()
-        grads.flat[...] = leaf.grad
+        grads.flat[...] = grad
         for name, g in model.leaf_arrays(grads).items():
-            assert np.array_equal(g, leaves[name].grad), name
+            assert np.array_equal(g, staged[name]), name
 
 
 class TestCheckpoint:
@@ -521,21 +506,17 @@ class TestReflectedFrame:
         reflected_generator = frame @ lie.block_diag_rates(reference.rates) @ frame.T
         generator = lie.assemble_generator(mapped.canonical_form()).entries
         assert _relative(generator, reflected_generator) <= 1e-12
-        tape, ref_tape = Tape(), Tape()
-        objective, _, _, leaf = model.build_objective(tape, mapped, x, y, 0.3)
-        ref_objective, _, _, ref_leaves = staged_objective(
-            ref_tape, reference, x, y, 0.3, reflected=True
-        )
-        tape.backward(objective)
-        ref_tape.backward(ref_objective)
-        assert _relative(objective.value, ref_objective.value) <= 1e-12
+        tape = Tape()
+        objective = model.build_objective(tape, mapped, x, y, 0.3)[0]
+        ref_objective, _, _, ref_leaves = staged_objective(reference, x, y, 0.3, reflected=True)
+        assert _relative(objective, ref_objective) <= 1e-12
         # the map is a signed permutation of the leaves, so it maps gradients too
         ref_grads = reference.copy()
         for name, a in model.leaf_arrays(ref_grads).items():
-            a[...] = ref_leaves[name].grad
+            a[...] = ref_leaves[name]
         expected = model.leaf_arrays(model.from_reflected_frame(ref_grads))
         grads = mapped.copy()
-        grads.flat[...] = leaf.grad
+        grads.flat[...] = tape.backward()
         got = model.leaf_arrays(grads)
         # relative to the whole gradient: the output bias's is a mean of residuals
         # that cancel to a few 1e-5 of them

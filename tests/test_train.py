@@ -11,6 +11,7 @@ import pytest
 
 import sospec.model as model
 import sospec.pool as pool_mod
+from sospec.autodiff import Tape
 from sospec.data import Dataset, synth_invariant_regression
 from sospec.lie import CanonicalForm
 import sospec.train as train_mod
@@ -361,23 +362,28 @@ class TestFlatParameters:
         cfg = TrainConfig(epochs=2, warmup_epochs=1, bandwidth=1, restarts=1)
         assert cfg.mu_init > 0
         steps = []
-        build, adam_step = model.build_objective, train_mod.Adam.step
+        build, backward, adam_step = model.build_objective, Tape.backward, train_mod.Adam.step
 
         def spy_build(tape, params, *args):
-            result = build(tape, params, *args)
-            steps.append([params.copy(), result[3]])
-            return result
+            steps.append([params.copy()])
+            return build(tape, params, *args)
+
+        def spy_backward(tape):
+            grad = backward(tape)
+            steps[-1].append(grad.copy())
+            return grad
 
         def spy_step(adam, grad):
             steps[-1].append(grad.copy())
             return adam_step(adam, grad)
 
         monkeypatch.setattr(model, "build_objective", spy_build)
+        monkeypatch.setattr(Tape, "backward", spy_backward)
         monkeypatch.setattr(train_mod.Adam, "step", spy_step)
         train_mod._train_single(ds, cfg, 0)
         assert len(steps) == 2
-        grads, leaf, grad = steps[epoch]
-        assert np.array_equal(grad, leaf.grad)
+        grads, returned, grad = steps[epoch]
+        assert np.array_equal(grad, returned)
         grads.flat[...] = grad
         for name, part in model.leaf_arrays(grads).items():
             assert np.any(part != 0.0), name
