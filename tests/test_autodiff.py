@@ -2,10 +2,47 @@ import gc
 import weakref
 
 import numpy as np
+import pytest
 
 import sospec.model as model
 from oracles import gradcheck, generic_objective_case
 from sospec.autodiff import Tape
+
+
+class TestForwardValues:
+    def test_matmul_matches_numpy(self):
+        # record hands back the very value whose VJP it keeps
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+        out, vjp = model.dense_stage(a, b, np.zeros(2), False)
+        assert Tape().record(out, vjp) is out
+        assert np.array_equal(out, a @ b)
+
+
+class TestSimpleGradients:
+    def test_square_gradient(self):
+        # backward seeds the recorded VJP with adjoint 1
+        t, x = Tape(), 3.0
+        assert t.record(x * x, lambda g: g * 2.0 * x) == 9.0
+        assert t.backward() == pytest.approx(6.0, abs=1e-12)
+
+    def test_fanout_accumulates(self):
+        # w0 feeds both the first dense layer and the penalty; its gradient
+        # is the dense adjoint (the whole gradient at mu = 0) plus the
+        # penalty adjoint at mu
+        params, x, y, _ = generic_objective_case(4, 1, np.random.default_rng(15))
+        mu = 0.37
+        w0 = params.layers[0][0]
+        start = params.skew.size + params.rates.size
+
+        def w0_grad(mu):
+            t = Tape()
+            model.build_objective(t, params, x, y, mu)
+            return t.backward()[start : start + w0.size].reshape(w0.shape)
+
+        (d_penalty, _) = model.penalty_stage(w0, params.rates, params.freq)[1](mu)
+        assert np.abs(d_penalty).max() > 0
+        assert np.array_equal(w0_grad(mu), w0_grad(0.0) + d_penalty)
 
 
 class TestGradchecks:
@@ -121,6 +158,18 @@ class TestLifetime:
             gc.enable()
 
 
+class TestErrors:
+    def test_backward_before_forward(self):
+        # a tape with no record, fresh or already read, has no gradient
+        t = Tape()
+        with pytest.raises(AttributeError):
+            t.backward()
+        t.record(1.0, lambda g: np.array([g]))
+        t.backward()
+        with pytest.raises(AttributeError):
+            t.backward()
+
+
 class TestDeterminism:
     def test_identical_replays_bitwise_equal(self):
         params, x, y, mu = generic_objective_case(6, 2, np.random.default_rng(12))
@@ -133,3 +182,17 @@ class TestDeterminism:
         (o1, g1), (o2, g2) = run(), run()
         assert o1 == o2
         assert g1.tobytes() == g2.tobytes()
+
+    def test_repeated_backward_resets_adjoints(self):
+        # one tape over two steps: the second backward returns the second
+        # step's gradient alone, as a fresh tape does
+        rng = np.random.default_rng(16)
+        first, x, y, mu = generic_objective_case(4, 1, rng)
+        second = generic_objective_case(4, 1, rng)[0]
+        t = Tape()
+        model.build_objective(t, first, x, y, mu)
+        t.backward()
+        model.build_objective(t, second, x, y, mu)
+        fresh = Tape()
+        model.build_objective(fresh, second, x, y, mu)
+        assert t.backward().tobytes() == fresh.backward().tobytes()
